@@ -21,7 +21,7 @@
 //!   byte-compares each daemon report against inline detection,
 //!   exiting non-zero on any divergence.
 
-use cord_core::{CaptureObserver, DetectorSink, ObsCtx, SinkObserver};
+use cord_core::{CaptureObserver, Detector, ObsCtx};
 use cord_detectors::DetectorConfig;
 use cord_obs::wire::{encode_capture, StreamGeometry};
 use cord_obs::{StreamEvent, StreamHeader};
@@ -66,12 +66,12 @@ fn capture_run(
     seed: u64,
 ) -> Result<(Vec<StreamEvent>, Vec<u8>), Box<dyn Error>> {
     let threads = workload.num_threads();
-    let sink = config.build_sink(threads, machine.cores, seed, ObsCtx::disabled());
-    let obs = CaptureObserver::new(SinkObserver::new(sink));
+    let det = config.build_sink(threads, machine.cores, seed, ObsCtx::disabled());
+    let obs = CaptureObserver::new(det);
     let m = Machine::new(machine.clone(), workload, obs, seed, InjectionPlan::none());
     let (_, obs) = m.run()?;
-    let (mut adapter, events) = obs.into_parts();
-    let inline = adapter.sink_mut().drain().to_bytes();
+    let (mut det, events) = obs.into_parts();
+    let inline = det.drain().to_bytes();
     Ok((events, inline))
 }
 
@@ -98,9 +98,6 @@ fn cmd_daemon(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if let Some(n) = flag_value(args, "--queue-depth") {
         cfg.queue_depth = n.parse()?;
-    }
-    if let Some(n) = flag_value(args, "--shards") {
-        cfg.shards = n.parse()?;
     }
     eprintln!("serve: listening on {}", cfg.socket.display());
     Daemon::new(cfg).run()?;

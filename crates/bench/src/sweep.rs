@@ -10,7 +10,7 @@
 
 use crate::configs::DetectorConfig;
 use crate::obs::ObsSink;
-use cord_core::{Detector, DetectorSink, LatencyObserver, ObsCtx, SinkObserver};
+use cord_core::{Detector, LatencyObserver, ObsCtx};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, TraceHandle};
@@ -408,11 +408,10 @@ pub(crate) struct RunObsCtx<'a> {
 /// construct the configuration's detector through
 /// [`DetectorConfig::build_sink`], run it on the configuration's
 /// machine under the sweep's watchdog, and count what it found. The
-/// machine is `Machine<SinkObserver<DetectorEnum>>` — the sink API with
-/// the observer adapter over it — so the whole (app × run) inner loop
-/// is monomorphized: no virtual dispatch per access, and inline
-/// detection exercises the very ingestion path a capture replay or the
-/// daemon uses.
+/// machine is `Machine<DetectorEnum>`, so the whole (app × run) inner
+/// loop is monomorphized: no virtual dispatch per access, and inline
+/// detection runs the same callbacks a capture replay or the daemon
+/// drives through `apply_stream_event`.
 ///
 /// With `obs` set, the machine and detector share a bounded trace ring
 /// whose snapshot is written per cell, and the run's simulator and
@@ -438,18 +437,12 @@ pub(crate) fn run_config_impl(
     };
     let det = config.build_sink(workload.num_threads(), machine.cores, seed, ctx);
     // Two machine instantiations, not a runtime flag: the disabled path
-    // is the plain `Machine<SinkObserver<_>>` with no timing code in it
+    // is the plain `Machine<DetectorEnum>` with no timing code in it
     // at all, so observability stays provably free when off. The
     // obs-enabled path wraps the observer in a LatencyObserver that
     // times every on_access into a histogram.
     let (out, mut det, access_latency) = if obs.is_some() {
-        let mut m = Machine::new(
-            machine,
-            workload,
-            LatencyObserver::new(SinkObserver::new(det)),
-            seed,
-            plan,
-        );
+        let mut m = Machine::new(machine, workload, LatencyObserver::new(det), seed, plan);
         if let Some(h) = &trace {
             m = m.with_trace(h.clone());
         }
@@ -457,7 +450,7 @@ pub(crate) fn run_config_impl(
         let (det, hist) = lat.into_parts();
         (out, det, Some(hist))
     } else {
-        let mut m = Machine::new(machine, workload, SinkObserver::new(det), seed, plan);
+        let mut m = Machine::new(machine, workload, det, seed, plan);
         if let Some(h) = &trace {
             m = m.with_trace(h.clone());
         }
@@ -467,7 +460,7 @@ pub(crate) fn run_config_impl(
     if let Some(o) = obs {
         let mut reg = MetricsRegistry::default();
         out.stats.record_into(&mut reg);
-        reg.merge(&det.sink_mut().drain().metrics);
+        reg.merge(&det.drain().metrics);
         o.sink.merge(&reg);
         if let Some(h) = &trace {
             o.sink.write_trace(o.app, o.run_index, &config.label(), h);
@@ -477,7 +470,7 @@ pub(crate) fn run_config_impl(
         }
     }
     Ok(Detection {
-        races: det.sink().race_count(),
+        races: det.race_count(),
     })
 }
 

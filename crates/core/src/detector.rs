@@ -27,6 +27,7 @@ use crate::history::LineHistory;
 use crate::memts::MemTimestamps;
 use crate::record::OrderRecorder;
 use crate::shadow::LineTable;
+use crate::sink::SinkReport;
 use cord_clocks::scalar::ScalarTime;
 use cord_clocks::window16::{self, WINDOW};
 use cord_obs::{EventKind, MetricsRegistry, TraceEvent, TraceHandle, NO_THREAD};
@@ -363,33 +364,45 @@ impl CordDetector {
     }
 }
 
-/// The object-safe face shared by every race detector the experiment
-/// harness can attach to a [`Machine`](cord_sim::engine::Machine):
-/// a [`MemoryObserver`] that can report how many data races it found.
+/// A race detector: a [`MemoryObserver`] that can report what it found.
 ///
-/// `Send` is a supertrait so a `Box<dyn Detector>` can be built on one
-/// thread and executed on a sweep worker — the parallel injection
-/// executor constructs detectors through
-/// `DetectorConfig::build_sink` and fans the runs across a pool.
+/// This is the only detector interface. Events reach a detector only
+/// through the observer callbacks: a live
+/// [`Machine`](cord_sim::engine::Machine) calls them directly, and
+/// capture replay calls them through
+/// [`apply_stream_event`](crate::sink::apply_stream_event), so both
+/// run the same code on the same events.
 ///
-/// Observability wiring (trace handle in, metrics out) is no longer
-/// part of this trait: the trace handle arrives at construction time
-/// via [`crate::sink::ObsCtx`], and metrics leave through
-/// [`crate::sink::DetectorSink::drain`].
+/// `Send` is a supertrait because detectors are built on one thread and
+/// driven on another (sweep workers, daemon sessions). The trace handle
+/// arrives at construction time via [`crate::sink::ObsCtx`].
 pub trait Detector: MemoryObserver + Send {
     /// Number of data races reported so far.
     fn race_count(&self) -> u64;
+
+    /// The race report and counters accumulated so far. Does not reset
+    /// the detector; draining twice yields the same report.
+    fn drain(&mut self) -> SinkReport;
 }
 
 impl Detector for CordDetector {
     fn race_count(&self) -> u64 {
         self.races.len() as u64
     }
+
+    fn drain(&mut self) -> SinkReport {
+        use cord_json::ToJson;
+        let mut report = SinkReport::new(self.label());
+        report.race_count = self.races.len() as u64;
+        report.races = self.races.iter().map(|r| r.to_json()).collect();
+        self.stats.record_into(&mut report.metrics);
+        report
+    }
 }
 
 /// Stable serialization of a race report, used by
 /// [`crate::sink::SinkReport`] for the capture→replay byte-identity
-/// contract. Kind names match the wire JSON codec
+/// contract. Kind names are [`cord_obs::kind_name`]'s
 /// (`data-read`/`data-write`/`sync-read`/`sync-write`).
 impl cord_json::ToJson for RaceReport {
     fn to_json(&self) -> cord_json::Json {
@@ -407,21 +420,6 @@ impl cord_json::ToJson for RaceReport {
             ("instr_index", cord_json::Json::UInt(self.instr_index)),
             ("cycle", cord_json::Json::UInt(self.cycle)),
         ])
-    }
-}
-
-impl crate::sink::DetectorSink for CordDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        crate::sink::apply_stream_event(self, ev)
-    }
-
-    fn drain(&mut self) -> crate::sink::SinkReport {
-        use cord_json::ToJson;
-        let mut report = crate::sink::SinkReport::new(self.label());
-        report.race_count = self.races.len() as u64;
-        report.races = self.races.iter().map(|r| r.to_json()).collect();
-        self.stats.record_into(&mut report.metrics);
-        report
     }
 }
 

@@ -20,9 +20,10 @@
 //!   verification (§3.3).
 //! * [`area`] — the analytic 19%-vs-38%-vs-200% state-overhead model
 //!   (§2.3).
-//! * [`sink`] — detectors as event-stream sinks ([`DetectorSink`]):
-//!   the ingestion surface shared by inline simulation, capture replay,
-//!   and the `cord-serve` streaming daemon.
+//! * [`sink`] — what a [`Detector`] drains ([`SinkReport`]), the
+//!   replay dispatch table ([`apply_stream_event`]) that lets capture
+//!   replay and the `cord-serve` daemon drive the same callbacks as a
+//!   live run, and the capture and latency observer wrappers.
 //! * [`error`] — the workspace-wide [`CordError`] failure taxonomy.
 //! * [`harness`] — one-call experiment runs.
 //!
@@ -75,9 +76,12 @@ pub use replay::{
 };
 pub use shadow::{LineTable, ShadowSpace};
 pub use sink::{
-    apply_stream_event, CaptureObserver, DetectorSink, LatencyObserver, ObsCtx, SinkObserver,
-    SinkReport,
+    apply_stream_event, CaptureObserver, LatencyObserver, ObsCtx, SinkObserver, SinkReport,
 };
+
+/// The former name of [`Detector`], kept as an alias for source
+/// compatibility.
+pub use detector::Detector as DetectorSink;
 
 /// One-stop imports for experiment code.
 ///
@@ -106,7 +110,7 @@ pub mod prelude {
     pub use crate::error::CordError;
     pub use crate::harness::{CordOutcome, ExperimentHarness};
     pub use crate::replay::{replay_and_verify, ReplayError, ReplayReport};
-    pub use crate::sink::{CaptureObserver, DetectorSink, ObsCtx, SinkObserver, SinkReport};
+    pub use crate::sink::{CaptureObserver, ObsCtx, SinkReport};
     pub use cord_sim::config::{MachineConfig, Watchdog};
     pub use cord_sim::engine::{InjectionPlan, Machine, RunOutput, SimError};
     pub use cord_sim::observer::{MemoryObserver, NullObserver};

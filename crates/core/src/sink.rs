@@ -1,35 +1,34 @@
-//! Detectors as event-stream sinks.
+//! What a detector reports, and the observers around it.
 //!
-//! The redesigned ingestion surface: a detector is a [`DetectorSink`]
-//! that consumes [`StreamEvent`]s one at a time, regardless of whether
-//! they come from a live simulator, a capture file, or a socket. The
-//! Machine-coupled path is a thin adapter — [`SinkObserver`] turns the
-//! `MemoryObserver` callback stream into `StreamEvent`s — so inline
-//! detection and stream replay execute the *same* detector code on the
-//! *same* event sequence. That is what makes the capture→replay
-//! byte-identity contract (enforced by the cord-fuzz oracle and the
-//! cord-serve smoke) meaningful rather than aspirational.
+//! A detector is a [`Detector`](crate::Detector): a [`MemoryObserver`]
+//! that can also drain its findings. Events reach it only through the
+//! observer callbacks. A live `Machine` calls them directly; capture
+//! replay, the fuzz oracle and the `cord-serve` daemon call them through
+//! [`apply_stream_event`]. Inline detection and stream replay therefore
+//! run the same detector code on the same event sequence, which is what
+//! makes the capture→replay byte-identity contract hold.
 //!
 //! * [`ObsCtx`] — observability wiring handed to
-//!   `DetectorConfig::build_sink()` at construction time, replacing the
-//!   old post-construction `set_trace`/`record_metrics` mutation pair.
-//! * [`SinkReport`] — what [`DetectorSink::drain`] returns: the race
-//!   report plus metrics, with a canonical byte serialization
-//!   ([`SinkReport::to_bytes`]) that replay legs compare bit-for-bit.
+//!   `DetectorConfig::build_sink()` at construction time.
+//! * [`SinkReport`] — what [`Detector::drain`](crate::Detector::drain)
+//!   returns: the race report plus metrics, with a canonical byte
+//!   serialization ([`SinkReport::to_bytes`]) that replay legs compare
+//!   bit-for-bit.
 //! * [`apply_stream_event`] — the one dispatch table from reified
 //!   events back to observer callbacks.
 //! * [`CaptureObserver`] — tee: records the event stream while
 //!   forwarding it, without perturbing the inner observer.
+//! * [`LatencyObserver`] — times each access callback of the inner
+//!   observer.
 
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, ObserverOutcome, StreamEvent, TraceHandle};
 use cord_sim::observer::{AccessEvent, CoreId, Level, LineRemoval, MemoryObserver};
 use cord_trace::types::{LineAddr, ThreadId};
 
-/// Observability context handed to a sink at construction time: one
-/// value instead of the old `set_trace` + `record_metrics` mutation
-/// pair. Metrics now travel *out* of the sink (in
-/// [`SinkReport::metrics`]); the trace handle travels *in* here.
+/// Observability context handed to a detector at construction time.
+/// Metrics travel *out* of the detector (in [`SinkReport::metrics`]);
+/// the trace handle travels *in* here.
 #[derive(Debug, Clone, Default)]
 pub struct ObsCtx {
     /// Run-event trace sink; [`TraceHandle::disabled`] for no tracing.
@@ -48,7 +47,7 @@ impl ObsCtx {
     }
 }
 
-/// The drained result of a detector sink: who checked, what it found,
+/// The drained result of a detector: who checked, what it found,
 /// and the counters it accumulated.
 ///
 /// The compact-JSON byte serialization ([`SinkReport::to_bytes`]) is
@@ -106,105 +105,6 @@ impl FromJson for SinkReport {
     }
 }
 
-/// A race detector as an event-stream sink — the ingestion surface
-/// shared by inline simulation, capture replay, and the cord-serve
-/// daemon.
-///
-/// `Send` is a supertrait for the same reason it is on
-/// [`Detector`](crate::Detector): sinks are built on one thread and
-/// driven on another (sweep workers, daemon sessions).
-pub trait DetectorSink: Send {
-    /// Consumes one event, returning any extra bus work it caused (only
-    /// meaningful to a live simulator; replay drivers ignore it).
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome;
-
-    /// Inline fast path for [`StreamEvent::Access`]: consumes the
-    /// access without reifying it as a `StreamEvent`.
-    ///
-    /// The provided default routes through [`DetectorSink::ingest`], so
-    /// any sink is correct out of the box; sinks on the simulator's
-    /// per-access hot path override these `ingest_*` methods to
-    /// dispatch straight to their callback handlers. Overrides must
-    /// stay observationally identical to the default — inline
-    /// detection and capture replay are required to produce
-    /// bit-identical reports.
-    #[inline]
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.ingest(&StreamEvent::Access(*ev))
-    }
-
-    /// Inline fast path for [`StreamEvent::LineFilled`].
-    #[inline]
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.ingest(&StreamEvent::LineFilled { core, level, line });
-    }
-
-    /// Inline fast path for [`StreamEvent::LineRemoved`].
-    #[inline]
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.ingest(&StreamEvent::LineRemoved(*removal))
-    }
-
-    /// Inline fast path for [`StreamEvent::ThreadMigrated`].
-    #[inline]
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.ingest(&StreamEvent::ThreadMigrated { thread, from, to });
-    }
-
-    /// Inline fast path for [`StreamEvent::RunEnd`]. The default pays
-    /// the `instr_counts` clone the wire event requires; overrides
-    /// hand the slice to the detector directly.
-    #[inline]
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        self.ingest(&StreamEvent::RunEnd {
-            instr_counts: instr_counts.to_vec(),
-        });
-    }
-
-    /// A synchronization point: any buffered work must be applied
-    /// before `flush` returns. The default is a no-op for sinks that
-    /// apply events eagerly.
-    fn flush(&mut self) {}
-
-    /// Produces the race report accumulated so far. Does not reset the
-    /// sink; draining twice yields the same report.
-    fn drain(&mut self) -> SinkReport;
-}
-
-impl<S: DetectorSink + ?Sized> DetectorSink for Box<S> {
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-        (**self).ingest(ev)
-    }
-
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        (**self).ingest_access(ev)
-    }
-
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        (**self).ingest_line_filled(core, level, line)
-    }
-
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        (**self).ingest_line_removed(removal)
-    }
-
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        (**self).ingest_thread_migrated(thread, from, to)
-    }
-
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        (**self).ingest_run_end(instr_counts)
-    }
-
-    fn flush(&mut self) {
-        (**self).flush()
-    }
-
-    fn drain(&mut self) -> SinkReport {
-        (**self).drain()
-    }
-}
-
 /// Dispatches one reified event to the matching [`MemoryObserver`]
 /// callback — the single translation table between the wire vocabulary
 /// and the callback vocabulary. [`StreamEvent::Trace`] passthroughs are
@@ -232,68 +132,54 @@ pub fn apply_stream_event<O: MemoryObserver + ?Sized>(
     }
 }
 
-/// The thin adapter that keeps the `Machine` path on the sink API: a
-/// [`MemoryObserver`] that feeds each callback to the wrapped sink.
-/// Inline detection is therefore *defined* as replaying the callback
-/// stream through the sink — the same event sequence a capture replay
-/// drives through [`DetectorSink::ingest`].
-///
-/// Dispatch goes through the sink's `ingest_*` fast-path methods, so a
-/// sink that overrides them (the concrete `DetectorEnum` does) pays no
-/// `StreamEvent` reification on the inline path; stream-driven sinks
-/// fall back to the provided defaults, which reify and route through
-/// [`DetectorSink::ingest`] exactly as this adapter used to.
+/// A forwarding newtype over an observer, kept for source compatibility:
+/// detectors are [`MemoryObserver`]s themselves, so a `Machine` takes
+/// one directly and nothing in this workspace needs the wrapper.
 #[derive(Debug)]
 pub struct SinkObserver<S> {
     sink: S,
 }
 
 impl<S> SinkObserver<S> {
-    /// Wraps a sink for attachment to a `Machine`.
+    /// Wraps `sink`.
     pub fn new(sink: S) -> Self {
         SinkObserver { sink }
     }
 
-    /// The wrapped sink.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// The wrapped sink, mutably.
+    /// The wrapped detector, mutably.
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }
 
-    /// Unwraps the sink.
+    /// Unwraps the detector.
     pub fn into_inner(self) -> S {
         self.sink
     }
 }
 
-impl<S: DetectorSink> MemoryObserver for SinkObserver<S> {
+impl<S: MemoryObserver> MemoryObserver for SinkObserver<S> {
     #[inline]
     fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.sink.ingest_access(ev)
+        self.sink.on_access(ev)
     }
 
     #[inline]
     fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.sink.ingest_line_filled(core, level, line);
+        self.sink.on_line_filled(core, level, line);
     }
 
     #[inline]
     fn on_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.sink.ingest_line_removed(removal)
+        self.sink.on_line_removed(removal)
     }
 
     #[inline]
     fn on_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.sink.ingest_thread_migrated(thread, from, to);
+        self.sink.on_thread_migrated(thread, from, to);
     }
 
     fn on_run_end(&mut self, final_instr_counts: &[u64]) {
-        self.sink.ingest_run_end(final_instr_counts);
-        self.sink.flush();
+        self.sink.on_run_end(final_instr_counts);
     }
 }
 
@@ -304,9 +190,9 @@ impl<S: DetectorSink> MemoryObserver for SinkObserver<S> {
 /// This wrapper exists so the hot path stays provably zero-cost when
 /// profiling is off: instead of a branch (or worse, a clock read) inside
 /// every access, the sweep instantiates `Machine<LatencyObserver<...>>`
-/// only when observability is enabled, and the plain
-/// `Machine<SinkObserver<...>>` otherwise — the disabled path never even
-/// contains the timing code. Latencies are timing-dependent by nature,
+/// only when observability is enabled, and the plain `Machine<D>` over
+/// the detector otherwise — the disabled path never even contains the
+/// timing code. Latencies are timing-dependent by nature,
 /// so the harvested histogram must only flow into the profile side of
 /// sweep output, never into deterministic results.
 #[derive(Debug)]
@@ -447,30 +333,31 @@ mod tests {
     use cord_obs::AccessKind;
     use cord_trace::types::Addr;
 
-    /// A sink that counts what it ingested.
-    struct CountingSink {
-        events: u64,
-        accesses: u64,
-        flushed: bool,
-    }
+    /// An observer that logs which callbacks it saw, in order.
+    #[derive(Default)]
+    struct CallLog(Vec<&'static str>);
 
-    impl DetectorSink for CountingSink {
-        fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-            self.events += 1;
-            if matches!(ev, StreamEvent::Access(_)) {
-                self.accesses += 1;
-            }
+    impl MemoryObserver for CallLog {
+        fn on_access(&mut self, _ev: &AccessEvent) -> ObserverOutcome {
+            self.0.push("access");
             ObserverOutcome::NONE
         }
 
-        fn flush(&mut self) {
-            self.flushed = true;
+        fn on_line_filled(&mut self, _core: CoreId, _level: Level, _line: LineAddr) {
+            self.0.push("fill");
         }
 
-        fn drain(&mut self) -> SinkReport {
-            let mut r = SinkReport::new("counting");
-            r.metrics.add("test.events", self.events);
-            r
+        fn on_line_removed(&mut self, _removal: &LineRemoval) -> ObserverOutcome {
+            self.0.push("remove");
+            ObserverOutcome::NONE
+        }
+
+        fn on_thread_migrated(&mut self, _thread: ThreadId, _from: CoreId, _to: CoreId) {
+            self.0.push("migrate");
+        }
+
+        fn on_run_end(&mut self, _final_instr_counts: &[u64]) {
+            self.0.push("run-end");
         }
     }
 
@@ -487,30 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_observer_reifies_every_callback() {
-        let mut obs = SinkObserver::new(CountingSink {
-            events: 0,
-            accesses: 0,
-            flushed: false,
-        });
-        obs.on_access(&access(0x40));
-        obs.on_line_filled(CoreId(1), Level::L2, LineAddr(3));
-        obs.on_line_removed(&LineRemoval {
-            core: CoreId(1),
-            level: Level::L2,
-            line: LineAddr(3),
-            cause: cord_obs::RemovalCause::Capacity,
-            dirty: false,
-        });
-        obs.on_thread_migrated(ThreadId(0), CoreId(0), CoreId(1));
-        obs.on_run_end(&[5, 5]);
-        let sink = obs.into_inner();
-        assert_eq!(sink.events, 5);
-        assert_eq!(sink.accesses, 1);
-        assert!(sink.flushed, "on_run_end must flush the sink");
-    }
-
-    #[test]
     fn capture_observer_is_a_transparent_tee() {
         let mut cap = CaptureObserver::new(cord_obs::NullObserver);
         cap.on_access(&access(0x80));
@@ -521,42 +384,31 @@ mod tests {
         assert!(matches!(events[1], StreamEvent::RunEnd { .. }));
     }
 
-    impl CountingSink {
-        fn fresh() -> Self {
-            CountingSink {
-                events: 0,
-                accesses: 0,
-                flushed: false,
-            }
-        }
-    }
-
     #[test]
     fn captured_events_replay_identically_through_apply() {
-        // Capture a short callback sequence, then replay it through a
-        // fresh sink via apply_stream_event: the sink must see the same
-        // event count as one driven live through SinkObserver.
-        let mut cap = CaptureObserver::new(cord_obs::NullObserver);
-        cap.on_access(&access(0x40));
-        cap.on_line_filled(CoreId(0), Level::L1, LineAddr(1));
-        cap.on_run_end(&[1]);
-        let (_, events) = cap.into_parts();
-
-        let mut live = SinkObserver::new(CountingSink::fresh());
+        // Drive every callback live through a capture tee, then replay
+        // the captured events into a fresh observer: it must see the
+        // same callbacks in the same order.
+        let mut live = CaptureObserver::new(CallLog::default());
         live.on_access(&access(0x40));
-        live.on_line_filled(CoreId(0), Level::L1, LineAddr(1));
-        live.on_run_end(&[1]);
+        live.on_line_filled(CoreId(1), Level::L2, LineAddr(3));
+        live.on_line_removed(&LineRemoval {
+            core: CoreId(1),
+            level: Level::L2,
+            line: LineAddr(3),
+            cause: cord_obs::RemovalCause::Capacity,
+            dirty: false,
+        });
+        live.on_thread_migrated(ThreadId(0), CoreId(0), CoreId(1));
+        live.on_run_end(&[5, 5]);
+        let (live, events) = live.into_parts();
 
-        let mut replayed = CountingSink::fresh();
+        let mut replayed = CallLog::default();
         for ev in &events {
-            replayed.ingest(ev);
+            apply_stream_event(&mut replayed, ev);
         }
-        replayed.flush();
-
-        let live = live.into_inner();
-        assert_eq!(replayed.events, live.events);
-        assert_eq!(replayed.accesses, live.accesses);
-        assert_eq!(replayed.flushed, live.flushed);
+        assert_eq!(live.0.len(), 5);
+        assert_eq!(replayed.0, live.0);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! [`DetectorConfig::from_label`].
 
 use crate::{IdealDetector, VcConfig, VcLimitedDetector};
-use cord_core::{CordConfig, CordDetector, Detector, DetectorSink, ObsCtx, SinkReport};
-use cord_obs::StreamEvent;
+use cord_core::{CordConfig, CordDetector, Detector, ObsCtx, SinkReport};
 use cord_sim::config::MachineConfig;
 use cord_sim::observer::{
     AccessEvent, CoreId, Level, LineRemoval, MemoryObserver, ObserverOutcome,
@@ -112,69 +111,27 @@ impl DetectorConfig {
     /// single construction point every sweep, figure, fuzz leg, and
     /// daemon session goes through. Adding a detector means adding a
     /// variant here, not touching each call site. The sweep hot path
-    /// runs `Machine<SinkObserver<DetectorEnum>>`, so every observer
-    /// callback dispatches through one match instead of a vtable.
+    /// runs `Machine<DetectorEnum>`, so every observer callback
+    /// dispatches through one match instead of a vtable.
     ///
     /// `seed` is the run's scheduling seed; real detectors ignore it,
     /// but [`DetectorConfig::PanicProbe`] uses its parity to decide
     /// whether to fault (odd seeds panic at the first observed access,
     /// or at run end if nothing was observed).
     pub fn build_sink(&self, threads: usize, cores: usize, seed: u64, ctx: ObsCtx) -> DetectorEnum {
-        let mut det = self.dispatch(threads, cores, seed);
-        if let DetectorEnum::Cord(d) = &mut det {
-            d.set_trace(ctx.trace);
-        }
-        det
-    }
-
-    /// Raw construction without observability wiring; prefer
-    /// [`DetectorConfig::build_sink`].
-    pub fn dispatch(&self, threads: usize, cores: usize, seed: u64) -> DetectorEnum {
+        let vc = |cfg| DetectorEnum::VcLimited(VcLimitedDetector::new(cfg, threads, cores));
         match *self {
             DetectorConfig::Cord { d } => {
-                DetectorEnum::Cord(CordDetector::new(CordConfig::with_d(d), threads, cores))
+                let mut det = CordDetector::new(CordConfig::with_d(d), threads, cores);
+                det.set_trace(ctx.trace);
+                DetectorEnum::Cord(det)
             }
             DetectorConfig::Ideal => DetectorEnum::Ideal(IdealDetector::new(threads)),
-            DetectorConfig::VcInfCache => DetectorEnum::VcLimited(VcLimitedDetector::new(
-                VcConfig::inf_cache(),
-                threads,
-                cores,
-            )),
-            DetectorConfig::VcL2Cache => DetectorEnum::VcLimited(VcLimitedDetector::new(
-                VcConfig::l2_cache(),
-                threads,
-                cores,
-            )),
-            DetectorConfig::VcL1Cache => DetectorEnum::VcLimited(VcLimitedDetector::new(
-                VcConfig::l1_cache(),
-                threads,
-                cores,
-            )),
+            DetectorConfig::VcInfCache => vc(VcConfig::inf_cache()),
+            DetectorConfig::VcL2Cache => vc(VcConfig::l2_cache()),
+            DetectorConfig::VcL1Cache => vc(VcConfig::l1_cache()),
             DetectorConfig::PanicProbe => DetectorEnum::PanicProbe(PanicProbeDetector { seed }),
         }
-    }
-
-    /// [`DetectorConfig::build_sink`] behind the object-safe
-    /// session-API edge, for callers that store heterogeneous detectors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through build_sink(); the Machine path is an adapter over \
-                the sink API now (SinkObserver)"
-    )]
-    pub fn build(&self, threads: usize, cores: usize, seed: u64) -> Box<dyn Detector> {
-        Box::new(self.dispatch(threads, cores, seed))
-    }
-
-    /// Builds a boxed sink for dynamic contexts (the daemon holds
-    /// `Box<dyn DetectorSink>` per session).
-    pub fn build_boxed_sink(
-        &self,
-        threads: usize,
-        cores: usize,
-        seed: u64,
-        ctx: ObsCtx,
-    ) -> Box<dyn DetectorSink> {
-        Box::new(self.build_sink(threads, cores, seed, ctx))
     }
 
     /// Every configuration any figure needs, so one sweep serves all of
@@ -194,11 +151,9 @@ impl DetectorConfig {
 
 /// Every detector a [`DetectorConfig`] can name, as one concrete type.
 ///
-/// `Machine<SinkObserver<DetectorEnum>>` is what the sweep's
-/// (app × run) inner loop executes: the observer callbacks on the
-/// per-access hot path compile to a jump over this enum's variants
-/// instead of virtual calls through `Box<dyn Detector>`, which stays
-/// confined to the session-API edge.
+/// `Machine<DetectorEnum>` is what the sweep's (app × run) inner loop
+/// executes: the observer callbacks on the per-access hot path compile
+/// to a jump over this enum's variants instead of virtual calls.
 #[derive(Debug)]
 pub enum DetectorEnum {
     /// A [`CordDetector`] (any `D`).
@@ -267,44 +222,6 @@ impl Detector for DetectorEnum {
             DetectorEnum::PanicProbe(d) => d.race_count(),
         }
     }
-}
-
-impl DetectorSink for DetectorEnum {
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
-    }
-
-    // Inline fast paths: the sweep hot path is
-    // `Machine<SinkObserver<DetectorEnum>>`, and these overrides keep
-    // each observer callback to a single enum match — no `StreamEvent`
-    // reification, no second dispatch through `apply_stream_event`.
-    // They are observationally identical to `ingest` because
-    // `apply_stream_event` routes each event kind straight back to the
-    // corresponding `MemoryObserver` callback on this enum.
-    #[inline]
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.on_access(ev)
-    }
-
-    #[inline]
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.on_line_filled(core, level, line);
-    }
-
-    #[inline]
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.on_line_removed(removal)
-    }
-
-    #[inline]
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.on_thread_migrated(thread, from, to);
-    }
-
-    #[inline]
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        self.on_run_end(instr_counts);
-    }
 
     fn drain(&mut self) -> SinkReport {
         match self {
@@ -347,37 +264,6 @@ impl MemoryObserver for PanicProbeDetector {
 impl Detector for PanicProbeDetector {
     fn race_count(&self) -> u64 {
         0
-    }
-}
-
-impl DetectorSink for PanicProbeDetector {
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
-    }
-
-    #[inline]
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.on_access(ev)
-    }
-
-    #[inline]
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.on_line_filled(core, level, line);
-    }
-
-    #[inline]
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.on_line_removed(removal)
-    }
-
-    #[inline]
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.on_thread_migrated(thread, from, to);
-    }
-
-    #[inline]
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        self.on_run_end(instr_counts);
     }
 
     fn drain(&mut self) -> SinkReport {

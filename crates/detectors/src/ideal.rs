@@ -144,6 +144,14 @@ impl cord_core::Detector for IdealDetector {
     fn race_count(&self) -> u64 {
         self.data_race_count()
     }
+
+    fn drain(&mut self) -> cord_core::SinkReport {
+        use cord_json::ToJson;
+        let mut report = cord_core::SinkReport::new("Ideal");
+        report.race_count = self.data_race_count();
+        report.races = self.races.iter().map(|r| r.to_json()).collect();
+        report
+    }
 }
 
 impl cord_json::ToJson for IdealRace {
@@ -165,20 +173,6 @@ impl cord_json::ToJson for IdealRace {
             ),
             ("instr_index", cord_json::Json::UInt(self.instr_index)),
         ])
-    }
-}
-
-impl cord_core::DetectorSink for IdealDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
-    }
-
-    fn drain(&mut self) -> cord_core::SinkReport {
-        use cord_json::ToJson;
-        let mut report = cord_core::SinkReport::new("Ideal");
-        report.race_count = self.data_race_count();
-        report.races = self.races.iter().map(|r| r.to_json()).collect();
-        report
     }
 }
 

@@ -192,6 +192,14 @@ impl cord_core::Detector for VcLimitedDetector {
     fn race_count(&self) -> u64 {
         self.data_race_count()
     }
+
+    fn drain(&mut self) -> cord_core::SinkReport {
+        use cord_json::ToJson;
+        let mut report = cord_core::SinkReport::new(self.label());
+        report.race_count = self.data_race_count();
+        report.races = self.races.iter().map(|r| r.to_json()).collect();
+        report
+    }
 }
 
 impl cord_json::ToJson for VcRace {
@@ -209,20 +217,6 @@ impl cord_json::ToJson for VcRace {
             ),
             ("instr_index", cord_json::Json::UInt(self.instr_index)),
         ])
-    }
-}
-
-impl cord_core::DetectorSink for VcLimitedDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
-    }
-
-    fn drain(&mut self) -> cord_core::SinkReport {
-        use cord_json::ToJson;
-        let mut report = cord_core::SinkReport::new(self.label());
-        report.race_count = self.data_race_count();
-        report.races = self.races.iter().map(|r| r.to_json()).collect();
-        report
     }
 }
 

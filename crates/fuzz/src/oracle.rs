@@ -27,7 +27,7 @@
 
 use crate::truthhb::{racy_words, sync_event_indices, RecordedAccess, Tandem};
 use cord_core::replay::replay_and_verify;
-use cord_core::{CaptureObserver, CordConfig, CordDetector, DetectorSink, ObsCtx};
+use cord_core::{apply_stream_event, CaptureObserver, CordConfig, CordDetector, Detector, ObsCtx};
 use cord_detectors::ideal::IdealDetector;
 use cord_detectors::vc_limited::{VcConfig, VcLimitedDetector};
 use cord_detectors::DetectorConfig;
@@ -54,7 +54,7 @@ pub struct OracleOptions {
     /// the CORD battery.
     pub max_injections: usize,
     /// Round-trip the base CORD run's event stream through the wire
-    /// codec and replay it into a fresh sink built from the stream
+    /// codec and replay it into a fresh detector built from the stream
     /// header: the drained report must be byte-identical to the inline
     /// detector's (the daemon contract).
     pub check_capture_replay: bool,
@@ -162,7 +162,7 @@ pub enum Violation {
         first_addr: u64,
     },
     /// Replaying the captured event stream through the wire codec and
-    /// a header-built sink did not reproduce the inline report
+    /// a header-built detector did not reproduce the inline report
     /// byte-for-byte — the daemon contract is broken.
     CaptureReplayDiverged {
         /// What diverged (codec failure, unknown label, or byte diff).
@@ -318,7 +318,7 @@ fn run_cord(
     let (tandem, captured) = obs.into_parts();
     let mut det = tandem.det;
     let label = det.label();
-    let inline_report = DetectorSink::drain(&mut det).to_bytes();
+    let inline_report = det.drain().to_bytes();
     let (races, recorder, stats) = det.into_parts();
     let racy = races.iter().map(|r| r.addr.byte()).collect();
     let replay_error = match &sim.truth.resolved {
@@ -347,7 +347,7 @@ fn run_cord(
 }
 
 /// The daemon contract, checked in-process: encode the captured stream
-/// with the wire codec, decode it back, build a fresh sink from the
+/// with the wire codec, decode it back, build a fresh detector from the
 /// decoded header (exactly as `cord-serve` does), replay every event,
 /// and require the drained report to be byte-identical to the inline
 /// detector's.
@@ -376,17 +376,16 @@ fn capture_replay_check(
         });
         return;
     };
-    let mut sink = config.build_sink(
+    let mut det = config.build_sink(
         decoded.geometry.threads as usize,
         decoded.geometry.cores as usize,
         decoded.seed,
         ObsCtx::disabled(),
     );
     for ev in &events {
-        sink.ingest(ev);
+        apply_stream_event(&mut det, ev);
     }
-    sink.flush();
-    let replayed = sink.drain().to_bytes();
+    let replayed = det.drain().to_bytes();
     if replayed != base.inline_report {
         out.push(Violation::CaptureReplayDiverged {
             detail: format!(

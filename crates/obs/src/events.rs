@@ -224,31 +224,6 @@ pub trait MemoryObserver {
     fn on_run_end(&mut self, _final_instr_counts: &[u64]) {}
 }
 
-/// Boxed observers observe too, so a `Machine` can run a detector
-/// chosen at runtime (`Box<dyn Detector>` from a sweep configuration)
-/// through the same generic engine.
-impl<O: MemoryObserver + ?Sized> MemoryObserver for Box<O> {
-    fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        (**self).on_access(ev)
-    }
-
-    fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        (**self).on_line_filled(core, level, line)
-    }
-
-    fn on_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        (**self).on_line_removed(removal)
-    }
-
-    fn on_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        (**self).on_thread_migrated(thread, from, to)
-    }
-
-    fn on_run_end(&mut self, final_instr_counts: &[u64]) {
-        (**self).on_run_end(final_instr_counts)
-    }
-}
-
 /// The baseline observer: a machine without any order-recording or DRD
 /// support (the denominator of Figure 11).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -31,9 +31,7 @@ pub use events::{
     AccessEvent, AccessKind, AccessPath, CoreId, Level, LineRemoval, MemoryObserver, NullObserver,
     ObserverOutcome, RemovalCause,
 };
-pub use wire::{
-    kind_from_name, kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION,
-};
+pub use wire::{kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION};
 
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use std::collections::{BTreeMap, VecDeque};
@@ -60,16 +58,6 @@ impl BusKind {
             BusKind::Ts => "ts",
             BusKind::Mem => "mem",
         }
-    }
-
-    fn from_name(name: &str) -> Option<BusKind> {
-        Some(match name {
-            "data" => BusKind::Data,
-            "addr" => BusKind::Addr,
-            "ts" => BusKind::Ts,
-            "mem" => BusKind::Mem,
-            _ => return None,
-        })
     }
 }
 
@@ -233,67 +221,6 @@ impl ToJson for TraceEvent {
             }
         }
         obj(fields)
-    }
-}
-
-impl FromJson for TraceEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let kind_name = v.field("kind")?.as_str()?;
-        let kind = match kind_name {
-            "bus" => {
-                let bus_name = v.field("bus")?.as_str()?;
-                EventKind::Bus {
-                    bus: BusKind::from_name(bus_name)
-                        .ok_or_else(|| JsonError::new(format!("unknown bus `{bus_name}`")))?,
-                    line: FromJson::from_json(v.field("line")?)?,
-                }
-            }
-            "fill" => EventKind::Fill {
-                core: FromJson::from_json(v.field("core")?)?,
-                level: FromJson::from_json(v.field("level")?)?,
-                line: FromJson::from_json(v.field("line")?)?,
-            },
-            "remove" => EventKind::Remove {
-                core: FromJson::from_json(v.field("core")?)?,
-                level: FromJson::from_json(v.field("level")?)?,
-                line: FromJson::from_json(v.field("line")?)?,
-                dirty: FromJson::from_json(v.field("dirty")?)?,
-                invalidation: FromJson::from_json(v.field("invalidation")?)?,
-            },
-            "race_check" => EventKind::RaceCheck {
-                line: FromJson::from_json(v.field("line")?)?,
-                requests: FromJson::from_json(v.field("requests")?)?,
-            },
-            "memts_broadcast" => EventKind::MemtsBroadcast {
-                count: FromJson::from_json(v.field("count")?)?,
-            },
-            "walker_pass" => EventKind::WalkerPass {
-                evicted: FromJson::from_json(v.field("evicted")?)?,
-                bound: FromJson::from_json(v.field("bound")?)?,
-            },
-            "injection" => EventKind::Injection {
-                instance: FromJson::from_json(v.field("instance")?)?,
-                release: FromJson::from_json(v.field("release")?)?,
-            },
-            "migration" => EventKind::Migration {
-                from: FromJson::from_json(v.field("from")?)?,
-                to: FromJson::from_json(v.field("to")?)?,
-            },
-            "race" => EventKind::Race {
-                addr: FromJson::from_json(v.field("addr")?)?,
-                other_core: FromJson::from_json(v.field("other_core")?)?,
-            },
-            other => {
-                return Err(JsonError::new(format!(
-                    "unknown trace event kind `{other}`"
-                )));
-            }
-        };
-        Ok(TraceEvent {
-            cycle: FromJson::from_json(v.field("cycle")?)?,
-            thread: FromJson::from_json(v.field("thread")?)?,
-            kind,
-        })
     }
 }
 

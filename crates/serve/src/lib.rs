@@ -1,34 +1,33 @@
 //! `cord-serve`: detection as a long-running service.
 //!
-//! The sink redesign in `cord-core` made detectors independent of the
-//! simulator: a [`DetectorSink`](cord_core::DetectorSink) consumes
-//! reified [`StreamEvent`](cord_obs::StreamEvent)s from *any* producer.
-//! This crate is the producer-agnostic half of that bargain — a daemon
-//! that ingests event streams over a Unix domain socket, runs the
-//! detector the stream's header names, and answers queries about what
-//! it has seen, all with the same wire format (`cord_obs::wire`) a
-//! capture file uses.
+//! A detector in `cord-core` depends only on the observer callbacks, not
+//! on the simulator, so it can check a reified
+//! [`StreamEvent`](cord_obs::StreamEvent) stream from *any* producer.
+//! This crate is a daemon that ingests event streams over a Unix domain
+//! socket, runs the detector the stream's header names, and answers
+//! queries about what it has seen, all with the same wire format
+//! (`cord_obs::wire`) a capture file uses.
 //!
 //! The load-bearing contract: **replaying a captured stream through the
 //! daemon produces a race report bit-identical to inline detection.**
-//! Inline detection *is* stream ingestion (the Machine path is a
-//! `SinkObserver` adapter over the sink API), so the daemon and the
-//! simulator literally execute the same detector code on the same event
-//! sequence; the cord-fuzz oracle and the CI smoke hold the two byte
-//! streams against each other.
+//! A session feeds each event to the detector's callbacks through
+//! [`apply_stream_event`](cord_core::apply_stream_event), the same
+//! callbacks a `Machine` calls inline, so the daemon and the simulator
+//! execute the same detector code on the same event sequence; the
+//! cord-fuzz oracle and the CI smoke hold the two byte streams against
+//! each other.
 //!
 //! Architecture (one session = one ingesting connection):
 //!
-//! * a **reader** thread decodes length-prefixed frames off the socket
-//!   and hands event batches to the session worker over a *bounded*
-//!   queue — when the detector falls behind, the queue fills, the
-//!   reader blocks, the socket buffer fills, and the producer stalls:
-//!   end-to-end backpressure with no unbounded buffering;
-//! * a **worker** thread owns the detector sink and ingests batches in
-//!   order. Detection itself is sequential — CORD's thread clocks are
-//!   global state, which is the paper's whole point — but the daemon
-//!   keeps per-shard accounting by dense line index and fans snapshot
-//!   serialization across a `cord-pool` worker pool;
+//! * a **reader** thread decodes length-prefixed frames off the socket,
+//!   rejects events whose thread or core lies outside the header's
+//!   geometry, and hands event batches to the session worker over a
+//!   *bounded* queue — when the detector falls behind, the queue fills,
+//!   the reader blocks, the socket buffer fills, and the producer
+//!   stalls: end-to-end backpressure with no unbounded buffering;
+//! * a **worker** thread owns the detector and ingests batches in
+//!   order. Detection is sequential: CORD's thread clocks are global
+//!   state, which is the paper's whole point;
 //! * periodic **snapshots** land as durable `cord-json` documents
 //!   (sealed, crash-atomic, previous-generation rotation); abnormal
 //!   recoveries at startup surface as structured

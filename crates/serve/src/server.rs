@@ -1,15 +1,15 @@
 //! The daemon: accept loop, ingest sessions, queries, and snapshots.
 
 use crate::protocol::{encode_response, encode_response_bytes, Query, ServeError, FRAME_QUERY};
-use cord_core::{DetectorSink, ObsCtx};
-use cord_detectors::DetectorConfig;
+use cord_core::{apply_stream_event, Detector, ObsCtx, SinkReport};
+use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, Json, ToJson};
-use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
-use cord_obs::{Histogram, MetricsRegistry, StreamEvent, StreamHeader};
-use cord_pool::{lock_unpoisoned, Pool};
-use cord_trace::layout::dense_line_index;
-use cord_trace::types::LineAddr;
+use cord_obs::wire::{
+    decode_events, read_frame, write_frame, StreamGeometry, FRAME_EVENTS, FRAME_HEADER,
+};
+use cord_obs::{AccessPath, CoreId, Histogram, MetricsRegistry, StreamEvent, StreamHeader};
+use cord_pool::lock_unpoisoned;
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -34,9 +34,6 @@ pub struct DaemonConfig {
     /// knob. When the detector lags this many undigested batches, the
     /// reader stops pulling from the socket and the producer stalls.
     pub queue_depth: usize,
-    /// Dense-line shards for per-shard accounting and parallel snapshot
-    /// serialization.
-    pub shards: usize,
 }
 
 impl Default for DaemonConfig {
@@ -46,7 +43,6 @@ impl Default for DaemonConfig {
             snapshot: None,
             snapshot_every: 100_000,
             queue_depth: 64,
-            shards: 8,
         }
     }
 }
@@ -66,10 +62,8 @@ struct DaemonState {
     /// Merged metrics of drained sessions.
     metrics: MetricsRegistry,
     /// Per-access ingest latency across drained sessions (how long the
-    /// sink spent on each Access event), merged pointwise.
+    /// detector spent on each Access event), merged pointwise.
     ingest_latency: Histogram,
-    /// Per-shard event counts, summed across sessions.
-    shard_events: Vec<u64>,
     /// Header info of the most recent session.
     last_workload: String,
     last_detector: String,
@@ -89,11 +83,7 @@ pub struct Daemon {
 impl Daemon {
     /// A daemon with the given configuration (not yet listening).
     pub fn new(cfg: DaemonConfig) -> Daemon {
-        let shards = cfg.shards.max(1);
-        let mut state = DaemonState {
-            shard_events: vec![0; shards],
-            ..DaemonState::default()
-        };
+        let mut state = DaemonState::default();
         // Surface prior-snapshot recovery immediately: a corrupt primary
         // generation is a structured status fact, not a stderr line.
         if let Some(path) = &cfg.snapshot {
@@ -167,7 +157,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), Ser
     match first.split_first() {
         Some((&FRAME_HEADER, _)) => {
             let header = StreamHeader::decode(&first)?;
-            ingest_session(header, reader, stream, shared)
+            run_session(header, reader, stream, shared)
         }
         Some((&FRAME_QUERY, _)) => {
             let q = Query::decode(&first)?;
@@ -179,7 +169,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), Ser
     }
 }
 
-fn ingest_session(
+fn run_session(
     header: StreamHeader,
     mut reader: BufReader<UnixStream>,
     stream: UnixStream,
@@ -209,6 +199,12 @@ fn ingest_session(
             match payload.split_first() {
                 Some((&FRAME_EVENTS, body)) => {
                     let events = decode_events(body)?;
+                    if let Some(bad) = events.iter().find(|ev| !in_geometry(ev, &header.geometry)) {
+                        return Err(ServeError::Protocol(format!(
+                            "event outside the header's {} threads and {} cores: {bad:?}",
+                            header.geometry.threads, header.geometry.cores
+                        )));
+                    }
                     // A full queue blocks here — backpressure all the
                     // way to the producer's socket writes.
                     if tx.send(Work::Events(events)).is_err() {
@@ -230,9 +226,35 @@ fn ingest_session(
     result
 }
 
-/// The session worker: owns the sink, ingests in order, keeps shard
-/// accounting, and snapshots periodically. Returns when the queue
-/// closes (client gone) or after serving a drain.
+/// Whether every thread and core `ev` names lies inside `geometry`.
+/// Detectors index per-thread and per-core state unchecked, so the
+/// reader rejects anything else before it reaches one.
+fn in_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> bool {
+    let thread = |t: u16| u32::from(t) < geometry.threads;
+    let core = |c: CoreId| u32::from(c.0) < geometry.cores;
+    match ev {
+        StreamEvent::Access(a) => {
+            let sibling_ok = match a.path {
+                AccessPath::FillFromSibling(sib) => core(sib),
+                _ => true,
+            };
+            thread(a.thread.0) && core(a.core) && sibling_ok
+        }
+        StreamEvent::LineFilled { core: c, .. } => core(*c),
+        StreamEvent::LineRemoved(r) => core(r.core),
+        StreamEvent::ThreadMigrated {
+            thread: t,
+            from,
+            to,
+        } => thread(t.0) && core(*from) && core(*to),
+        StreamEvent::RunEnd { instr_counts } => instr_counts.len() <= geometry.threads as usize,
+        StreamEvent::Trace(_) => true,
+    }
+}
+
+/// The session worker: owns the detector, ingests in order, and
+/// snapshots periodically. Returns when the queue closes (client gone)
+/// or after serving a drain.
 fn session_worker(
     header: &StreamHeader,
     config: DetectorConfig,
@@ -240,33 +262,27 @@ fn session_worker(
     shared: &Arc<Shared>,
 ) {
     let geometry = &header.geometry;
-    let shards = shared.cfg.shards.max(1);
-    let mut sink = config.build_boxed_sink(
+    let mut det = config.build_sink(
         geometry.threads as usize,
         geometry.cores as usize,
         header.seed,
         ObsCtx::disabled(),
     );
-    let mut shard_events = vec![0u64; shards];
     let mut ingest_latency = Histogram::new();
     let mut events: u64 = 0;
     let mut since_snapshot: u64 = 0;
     let mut drained = false;
-    let pool = Pool::new(shards.min(Pool::available_parallelism()));
 
     for work in rx {
         match work {
             Work::Events(batch) => {
                 for ev in &batch {
-                    if let Some(line) = event_line(ev) {
-                        shard_events[dense_line_index(line) % shards] += 1;
-                    }
                     if matches!(ev, StreamEvent::Access(_)) {
                         let start = std::time::Instant::now();
-                        sink.ingest(ev);
+                        apply_stream_event(&mut det, ev);
                         ingest_latency.record_ns(start.elapsed().as_nanos() as u64);
                     } else {
-                        sink.ingest(ev);
+                        apply_stream_event(&mut det, ev);
                     }
                 }
                 let n = batch.len() as u64;
@@ -279,17 +295,16 @@ fn session_worker(
                 let every = shared.cfg.snapshot_every;
                 if every > 0 && since_snapshot >= every {
                     since_snapshot = 0;
-                    write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+                    write_snapshot(header, &mut det, events, shared);
                 }
             }
             Work::Drain(reply) => {
-                sink.flush();
-                let report = sink.drain();
+                let report = det.drain();
                 let bytes = report.to_bytes();
-                record_report(&report, &shard_events, &ingest_latency, shared);
+                record_report(&report, &ingest_latency, shared);
                 ingest_latency = Histogram::new();
                 drained = true;
-                write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+                write_snapshot(header, &mut det, events, shared);
                 let _ = reply.send(bytes);
             }
         }
@@ -297,82 +312,39 @@ fn session_worker(
     if !drained {
         // Client vanished without draining: bank the session's findings
         // anyway so daemon-wide queries still see them.
-        sink.flush();
-        let report = sink.drain();
-        record_report(&report, &shard_events, &ingest_latency, shared);
-        write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+        let report = det.drain();
+        record_report(&report, &ingest_latency, shared);
+        write_snapshot(header, &mut det, events, shared);
     }
     let mut st = lock_unpoisoned(&shared.state);
     st.sessions_completed += 1;
 }
 
-/// Which cache line an event concerns, for shard accounting.
-fn event_line(ev: &StreamEvent) -> Option<LineAddr> {
-    match ev {
-        StreamEvent::Access(a) => Some(a.addr.line()),
-        StreamEvent::LineFilled { line, .. } => Some(*line),
-        StreamEvent::LineRemoved(r) => Some(r.line),
-        _ => None,
-    }
-}
-
-fn record_report(
-    report: &cord_core::SinkReport,
-    shard_events: &[u64],
-    ingest_latency: &Histogram,
-    shared: &Arc<Shared>,
-) {
+fn record_report(report: &SinkReport, ingest_latency: &Histogram, shared: &Arc<Shared>) {
     let mut st = lock_unpoisoned(&shared.state);
     st.races_reported += report.race_count;
     st.races.extend(report.races.iter().cloned());
     st.metrics.merge(&report.metrics);
     st.ingest_latency.merge(ingest_latency);
-    for (acc, n) in st.shard_events.iter_mut().zip(shard_events) {
-        *acc += n;
-    }
 }
 
-/// Writes the durable snapshot document: session progress, the current
-/// race report, and per-shard accounting. Shard summaries are
-/// serialized in parallel on the pool — the one piece of snapshot work
-/// that scales with the address space — then assembled in shard order
-/// so the document is deterministic.
+/// Writes the durable snapshot document: session progress and the
+/// current race report.
 fn write_snapshot(
     header: &StreamHeader,
-    sink: &mut Box<dyn DetectorSink>,
+    det: &mut DetectorEnum,
     events: u64,
-    shard_events: &[u64],
-    pool: &Pool,
     shared: &Arc<Shared>,
 ) {
     let Some(path) = shared.cfg.snapshot.clone() else {
         return;
     };
-    let report = sink.drain();
-    let jobs: Vec<_> = shard_events
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            move || {
-                obj(vec![
-                    ("shard", Json::UInt(i as u64)),
-                    ("events", Json::UInt(n)),
-                ])
-            }
-        })
-        .collect();
-    let shards: Vec<Json> = pool
-        .run_ordered(jobs)
-        .into_iter()
-        .map(|r| r.unwrap_or(Json::Null))
-        .collect();
     let doc = obj(vec![
         ("workload", Json::Str(header.workload.clone())),
         ("detector", Json::Str(header.detector.clone())),
         ("seed", Json::UInt(header.seed)),
         ("events", Json::UInt(events)),
-        ("report", report.to_json()),
-        ("shards", Json::Array(shards)),
+        ("report", det.drain().to_json()),
     ]);
     if durable::write_checkpoint(&path, &doc).is_ok() {
         let mut st = lock_unpoisoned(&shared.state);
@@ -441,10 +413,6 @@ fn status_doc(shared: &Arc<Shared>) -> Json {
         (
             "queue_depth",
             Json::UInt(shared.cfg.queue_depth.max(1) as u64),
-        ),
-        (
-            "shard_events",
-            Json::Array(st.shard_events.iter().map(|&n| Json::UInt(n)).collect()),
         ),
         (
             "recovery",

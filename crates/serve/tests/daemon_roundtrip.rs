@@ -2,7 +2,7 @@
 //! identical to inline detection, and queries must reflect what was
 //! ingested.
 
-use cord_core::{DetectorSink, ObsCtx};
+use cord_core::{apply_stream_event, Detector, ObsCtx};
 use cord_detectors::DetectorConfig;
 use cord_obs::wire;
 use cord_obs::{AccessEvent, AccessKind, AccessPath, CoreId, Level, StreamEvent, StreamHeader};
@@ -90,12 +90,11 @@ fn header(detector: &str) -> StreamHeader {
 }
 
 fn inline_bytes(config: DetectorConfig, events: &[StreamEvent]) -> Vec<u8> {
-    let mut sink = config.build_sink(2, 2, 7, ObsCtx::disabled());
+    let mut det = config.build_sink(2, 2, 7, ObsCtx::disabled());
     for ev in events {
-        sink.ingest(ev);
+        apply_stream_event(&mut det, ev);
     }
-    sink.flush();
-    sink.drain().to_bytes()
+    det.drain().to_bytes()
 }
 
 #[test]
@@ -108,7 +107,6 @@ fn daemon_replay_matches_inline_bytes() {
         snapshot: Some(snapshot.clone()),
         snapshot_every: 2,
         queue_depth: 2,
-        shards: 4,
     });
     let handle = std::thread::spawn(move || daemon.run());
     let client = ServeClient::new(&socket);
@@ -204,6 +202,101 @@ fn unknown_detector_label_is_rejected_cleanly() {
         .query(Query::Status)
         .expect("status after bad session");
     assert!(status.field("sessions_started").is_ok());
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Starts a daemon without snapshots in a fresh temp dir.
+fn start_daemon(
+    tag: &str,
+) -> (
+    PathBuf,
+    ServeClient,
+    std::thread::JoinHandle<Result<(), cord_serve::ServeError>>,
+) {
+    let dir = tmpdir(tag);
+    let socket = dir.join("serve.sock");
+    let daemon = Daemon::new(DaemonConfig {
+        socket: socket.clone(),
+        snapshot: None,
+        ..DaemonConfig::default()
+    });
+    let handle = std::thread::spawn(move || daemon.run());
+    let client = ServeClient::new(&socket);
+    assert!(client.wait_ready(250), "daemon came up");
+    (dir, client, handle)
+}
+
+#[test]
+fn hostile_header_geometry_is_rejected_and_the_daemon_keeps_serving() {
+    let (dir, client, handle) = start_daemon("hostile");
+    // Four billion threads: building the detector for this header would
+    // try to allocate per-thread state for every one of them.
+    let mut hostile = header("CORD-D16");
+    hostile.geometry.threads = 4_000_000_000;
+    let capture = wire::encode_capture(&hostile, &racy_events());
+    assert!(
+        client.replay_capture(&capture).is_err(),
+        "an out-of-range geometry must not produce a report"
+    );
+
+    let status = client
+        .query(Query::Status)
+        .expect("status after hostile header");
+    let started: u64 =
+        cord_json::FromJson::from_json(status.field("sessions_started").unwrap()).expect("uint");
+    assert_eq!(started, 0, "the header was refused before a session began");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn events_outside_the_header_geometry_are_rejected() {
+    let (dir, client, handle) = start_daemon("outside");
+    let racy = racy_events();
+    let bad_thread = StreamEvent::ThreadMigrated {
+        thread: ThreadId(2),
+        from: CoreId(0),
+        to: CoreId(1),
+    };
+    let bad_core = StreamEvent::LineFilled {
+        core: CoreId(2),
+        level: Level::L1,
+        line: Addr::new(0).line(),
+    };
+    let bad_sibling = StreamEvent::Access(AccessEvent {
+        core: CoreId(0),
+        thread: ThreadId(0),
+        addr: Addr::new(0),
+        kind: AccessKind::DataRead,
+        path: AccessPath::FillFromSibling(CoreId(9)),
+        instr_index: 1,
+        cycle: 1,
+    });
+    let bad_run_end = StreamEvent::RunEnd {
+        instr_counts: vec![1, 1, 1],
+    };
+    for bad in [bad_thread, bad_core, bad_sibling, bad_run_end] {
+        let mut events = racy[..2].to_vec();
+        events.push(bad.clone());
+        assert!(
+            client.replay_events(&header("CORD-D16"), &events).is_err(),
+            "{bad:?} lies outside 2 threads on 2 cores"
+        );
+    }
+
+    // The daemon survives every rejected session and still detects.
+    let via_daemon = client
+        .replay_events(&header("CORD-D16"), &racy)
+        .expect("a well-formed stream still replays");
+    assert_eq!(
+        via_daemon,
+        inline_bytes(DetectorConfig::Cord { d: 16 }, &racy)
+    );
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");

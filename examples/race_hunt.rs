@@ -8,7 +8,7 @@
 
 use cord::inject::Campaign;
 use cord::prelude::*;
-use cord::stream::{DetectorConfig, ObsCtx, SinkObserver};
+use cord::stream::{DetectorConfig, ObsCtx};
 use cord::workloads::{all_apps, kernel, AppKind, ScaleClass};
 
 fn main() {
@@ -40,33 +40,21 @@ fn main() {
         let plan = target.plan();
         let seed = 1000 + i as u64;
 
-        // Detectors are stream sinks now: built from a config label and
-        // fed events through a SinkObserver adapter, exactly as a
-        // capture replay or the cord-serve daemon would feed them.
+        // Detectors are built from a config and observe the machine
+        // directly; a capture replay or the cord-serve daemon drives the
+        // same callbacks from a recorded stream.
         let ideal_machine = MachineConfig::infinite_cache();
-        let sink =
+        let det =
             DetectorConfig::Ideal.build_sink(4, ideal_machine.cores, seed, ObsCtx::disabled());
-        let m = Machine::new(
-            ideal_machine,
-            &workload,
-            SinkObserver::new(sink),
-            seed,
-            plan,
-        );
-        let (_, mut obs) = m.run().expect("run ok");
-        let ideal = obs.sink_mut().drain();
+        let m = Machine::new(ideal_machine, &workload, det, seed, plan);
+        let (_, mut det) = m.run().expect("run ok");
+        let ideal = det.drain();
 
-        let sink =
+        let det =
             DetectorConfig::Cord { d: 16 }.build_sink(4, machine.cores, seed, ObsCtx::disabled());
-        let m = Machine::new(
-            machine.clone(),
-            &workload,
-            SinkObserver::new(sink),
-            seed,
-            plan,
-        );
-        let (_, mut obs) = m.run().expect("run ok");
-        let cord = obs.sink_mut().drain();
+        let m = Machine::new(machine.clone(), &workload, det, seed, plan);
+        let (_, mut det) = m.run().expect("run ok");
+        let cord = det.drain();
 
         let verdict = match (ideal.race_count > 0, cord.race_count > 0) {
             (true, true) => "CAUGHT",

@@ -16,12 +16,12 @@
 //! 3. start a `Daemon` on a Unix socket and replay the capture through
 //!    it with `ServeClient`;
 //! 4. compare the daemon's drained report bytes against the inline
-//!    sink's — they must match exactly.
+//!    detector's — they must match exactly.
 
 use cord::prelude::*;
 use cord::stream::{
-    encode_capture, CaptureObserver, DetectorConfig, DetectorSink, ObsCtx, Query, ServeClient,
-    SinkObserver, StreamGeometry, StreamHeader,
+    encode_capture, CaptureObserver, DetectorConfig, ObsCtx, Query, ServeClient, StreamGeometry,
+    StreamHeader,
 };
 use cord::workloads::{all_apps, kernel, AppKind, ScaleClass};
 
@@ -40,8 +40,8 @@ fn main() {
     let config = DetectorConfig::Cord { d: 16 };
 
     // 1. Inline detection with a capture tee.
-    let sink = config.build_sink(threads, machine.cores, seed, ObsCtx::disabled());
-    let obs = CaptureObserver::new(SinkObserver::new(sink));
+    let det = config.build_sink(threads, machine.cores, seed, ObsCtx::disabled());
+    let obs = CaptureObserver::new(det);
     let m = Machine::new(
         machine.clone(),
         &workload,
@@ -50,8 +50,8 @@ fn main() {
         cord::sim::engine::InjectionPlan::none(),
     );
     let (_, obs) = m.run().expect("simulation completes");
-    let (mut adapter, events) = obs.into_parts();
-    let inline = adapter.sink_mut().drain();
+    let (mut det, events) = obs.into_parts();
+    let inline = det.drain();
     let inline_bytes = inline.to_bytes();
     println!(
         "{}: captured {} events, inline {} found {} races",

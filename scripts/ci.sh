@@ -9,6 +9,10 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test --release --workspace --quiet
 
+echo "== benchmark: perfbench/ builds against these crates and passes its self-test =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --test selftest --quiet
+
 echo "== clippy (deny warnings; unwrap_used denied outside tests) =="
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p cord-sim --all-targets -- -D warnings

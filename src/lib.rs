@@ -69,28 +69,27 @@ pub mod prelude {
     pub use cord_trace::{Op, ThreadProgram};
 }
 
-/// Everything needed to produce, persist, and consume detection event
-/// streams, importable with `use cord::stream::*`.
-///
-/// This is the detector-as-a-service surface: detectors are built
-/// through [`DetectorConfig::build_sink`] and fed reified
-/// [`StreamEvent`]s — by a simulator (via [`SinkObserver`]), from a
-/// capture file (via [`decode_capture`]), or over a daemon socket (via
-/// [`ServeClient`]). The wire format is versioned ([`WIRE_VERSION`])
-/// and self-describing: a [`StreamHeader`] carries the machine and
-/// address-space geometry, so dense indices resolve without a live
-/// `Machine`.
 pub mod stream {
-    pub use cord_core::{
-        apply_stream_event, CaptureObserver, DetectorSink, ObsCtx, SinkObserver, SinkReport,
-    };
+    //! Everything needed to produce, persist, and consume detection event
+    //! streams, importable with `use cord::stream::*`.
+    //!
+    //! This is the detector-as-a-service surface: detectors are built
+    //! through [`DetectorConfig::build_sink`] and are [`Detector`]s, so a
+    //! simulator drives them directly and a stream drives the same
+    //! callbacks through [`apply_stream_event`]. Streams come from a
+    //! capture file (via [`decode_capture`]) or a daemon socket (via
+    //! [`ServeClient`]). The wire format is versioned ([`WIRE_VERSION`])
+    //! and self-describing: a [`StreamHeader`] carries the machine and
+    //! address-space geometry, so dense indices resolve without a live
+    //! `Machine`.
+
+    pub use cord_core::{apply_stream_event, CaptureObserver, Detector, ObsCtx, SinkReport};
     pub use cord_detectors::{DetectorConfig, DetectorEnum};
     pub use cord_obs::wire::{
         decode_capture, decode_events, encode_capture, read_frame, write_frame,
     };
     pub use cord_obs::{
-        kind_from_name, kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError,
-        WIRE_VERSION,
+        kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION,
     };
     pub use cord_serve::{Daemon, DaemonConfig, Query, ServeClient, ServeError};
 }
