@@ -26,7 +26,7 @@
 use cord_bench::figures;
 use cord_bench::runner::SweepRunner;
 use cord_bench::sweep::{CoherenceOpt, ScaleClassOpt, SweepOptions, SweepResults};
-use cord_bench::DetectorConfig;
+use cord_bench::{parse_flag, DetectorConfig};
 use cord_json::ToJson;
 use cord_pool::Pool;
 use cord_workloads::ScaleClass;
@@ -66,38 +66,15 @@ fn parse_args() -> Result<Args, String> {
     let mut first = true;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--injections" => {
-                args.injections = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--injections needs a number")?;
-            }
+            "--injections" => args.injections = parse_flag("--injections", it.next())?,
             "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("tiny") => ScaleClassOpt::Tiny,
-                    Some("small") => ScaleClassOpt::Small,
-                    Some("paper") => ScaleClassOpt::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
+                let name = it.next().ok_or("--scale needs tiny|small|paper")?;
+                args.scale = ScaleClassOpt::from_name(&name)
+                    .ok_or_else(|| format!("unknown scale {name:?}"))?;
             }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--jobs needs a number")?;
-            }
-            "--cores" => {
-                args.cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--cores needs a number")?;
-            }
+            "--seed" => args.seed = parse_flag("--seed", it.next())?,
+            "--jobs" => args.jobs = parse_flag("--jobs", it.next())?,
+            "--cores" => args.cores = parse_flag("--cores", it.next())?,
             "--backend" => {
                 let name = it.next().ok_or("--backend needs snooping|directory")?;
                 args.backend = CoherenceOpt::from_name(&name)
@@ -123,10 +100,6 @@ fn parse_args() -> Result<Args, String> {
         first = false;
     }
     Ok(args)
-}
-
-fn scale_of(s: ScaleClassOpt) -> ScaleClass {
-    s.into()
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -209,7 +182,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         None
     };
 
-    let scale = scale_of(args.scale);
+    let scale: ScaleClass = args.scale.into();
     let cmd = args.command.as_str();
     if cmd == "table1" || cmd == "all" {
         println!("{}", figures::table1(scale));

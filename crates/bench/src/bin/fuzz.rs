@@ -22,6 +22,7 @@
 //! goes to stderr. Exit status is non-zero when any oracle invariant
 //! failed.
 
+use cord_bench::parse_flag;
 use cord_fuzz::campaign::{run_campaign, CampaignConfig, GenMode};
 use cord_fuzz::corpus;
 use cord_fuzz::gen::GenConfig;
@@ -61,24 +62,13 @@ fn parse_args() -> Result<Args, String> {
     let mut first = true;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--count" => {
-                args.count = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--count needs a number")?;
-            }
+            "--seed" => args.seed = parse_flag("--seed", it.next())?,
+            "--count" => args.count = parse_flag("--count", it.next())?,
             "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--jobs needs a positive number")?;
+                args.jobs = parse_flag("--jobs", it.next())?;
+                if args.jobs == 0 {
+                    return Err("--jobs needs a positive number".into());
+                }
             }
             "--mode" => {
                 let m = it.next().ok_or("--mode needs mixed|race-free")?;
@@ -87,13 +77,7 @@ fn parse_args() -> Result<Args, String> {
             "--corpus-dir" => {
                 args.corpus_dir = Some(it.next().ok_or("--corpus-dir needs a path")?);
             }
-            "--budget-secs" => {
-                args.budget_secs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--budget-secs needs a number")?,
-                );
-            }
+            "--budget-secs" => args.budget_secs = Some(parse_flag("--budget-secs", it.next())?),
             "--no-inject" => args.inject = false,
             "--no-rerun" => args.rerun = false,
             "--lockfree" => args.lockfree = true,

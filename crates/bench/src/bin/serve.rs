@@ -21,6 +21,7 @@
 //!   byte-compares each daemon report against inline detection,
 //!   exiting non-zero on any divergence.
 
+use cord_bench::parse_flag;
 use cord_core::{CaptureObserver, Detector, ObsCtx};
 use cord_detectors::DetectorConfig;
 use cord_obs::wire::{encode_capture, StreamGeometry};
@@ -43,6 +44,11 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The parsed value of flag `name`, or `default` when it is absent.
+fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    flag_value(args, name).map_or(Ok(default), |v| parse_flag(name, Some(v)))
 }
 
 fn socket_arg(args: &[String]) -> PathBuf {
@@ -93,12 +99,8 @@ fn cmd_daemon(args: &[String]) -> Result<(), Box<dyn Error>> {
         snapshot: flag_value(args, "--snapshot").map(PathBuf::from),
         ..DaemonConfig::default()
     };
-    if let Some(n) = flag_value(args, "--snapshot-every") {
-        cfg.snapshot_every = n.parse()?;
-    }
-    if let Some(n) = flag_value(args, "--queue-depth") {
-        cfg.queue_depth = n.parse()?;
-    }
+    cfg.snapshot_every = flag_num(args, "--snapshot-every", cfg.snapshot_every)?;
+    cfg.queue_depth = flag_num(args, "--queue-depth", cfg.queue_depth)?;
     eprintln!("serve: listening on {}", cfg.socket.display());
     Daemon::new(cfg).run()?;
     Ok(())
@@ -107,8 +109,8 @@ fn cmd_daemon(args: &[String]) -> Result<(), Box<dyn Error>> {
 fn cmd_capture(args: &[String]) -> Result<(), Box<dyn Error>> {
     let app = flag_value(args, "--app").unwrap_or_else(|| "fft".to_owned());
     let label = flag_value(args, "--config").unwrap_or_else(|| "CORD-D16".to_owned());
-    let seed = flag_value(args, "--seed").map_or(Ok(42), |s| s.parse())?;
-    let threads = flag_value(args, "--threads").map_or(Ok(4), |s| s.parse())?;
+    let seed = flag_num(args, "--seed", 42)?;
+    let threads = flag_num(args, "--threads", 4)?;
     let out = flag_value(args, "--out").unwrap_or_else(|| fail("--out FILE is required"));
     let config = DetectorConfig::from_label(&label)
         .unwrap_or_else(|| fail(format!("unknown detector label `{label}`")));

@@ -20,6 +20,7 @@
 //! failures; 2 shards abandoned (merged output partial; resumable);
 //! 4 drained via the `DRAIN` marker (resumable).
 
+use cord_bench::parse_flag;
 use cord_bench::shard::{
     coordinate, status_summary, worker_main, CampaignDir, CampaignSpec, CoordinatorOptions,
     FuzzSpec, SweepSpec,
@@ -42,17 +43,10 @@ fn usage() -> ! {
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    let Some(v) = v else {
-        eprintln!("error: {flag} needs a value");
+    parse_flag(flag, v).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(64);
-    };
-    match v.parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: invalid value for {flag}: {v:?}");
-            std::process::exit(64);
-        }
-    }
+    })
 }
 
 struct Cli {
@@ -151,11 +145,9 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Cli {
             "--injections" => cli.injections = parse_num("--injections", args.next()),
             "--scale" => {
                 let name: String = parse_num("--scale", args.next());
-                match name.as_str() {
-                    "tiny" => cli.scale = ScaleClassOpt::Tiny,
-                    "small" => cli.scale = ScaleClassOpt::Small,
-                    "paper" => cli.scale = ScaleClassOpt::Paper,
-                    _ => {
+                match ScaleClassOpt::from_name(&name) {
+                    Some(s) => cli.scale = s,
+                    None => {
                         eprintln!("error: unknown scale {name:?} (tiny, small, paper)");
                         std::process::exit(64);
                     }

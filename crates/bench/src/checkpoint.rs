@@ -39,12 +39,7 @@ pub fn options_hash(opts: &SweepOptions, configs: &[DetectorConfig]) -> u64 {
         canonical.push('|');
         canonical.push_str(&c.label());
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    durable::fnv1a(canonical.as_bytes())
 }
 
 /// A partially completed sweep loaded from disk.

@@ -2,9 +2,11 @@
 
 use crate::configs::DetectorConfig;
 use crate::sweep::{SweepOptions, SweepResults};
-use cord_core::{area, CordConfig, CordError, ExperimentHarness};
+use cord_core::{area, CordConfig, CordDetector, CordError, ExperimentHarness};
+use cord_inject::Campaign;
 use cord_sim::config::MachineConfig;
-use cord_sim::engine::InjectionPlan;
+use cord_sim::engine::{InjectionPlan, Machine};
+use cord_trace::program::Workload;
 use cord_workloads::{all_apps, kernel, lockfree_apps, ScaleClass};
 use std::fmt;
 
@@ -66,15 +68,6 @@ impl FigureTable {
         }
         self.rows.push(("Average".to_string(), avg));
         self
-    }
-
-    /// The `Average` row's value for a column label, if present.
-    pub fn average_of(&self, column: &str) -> Option<f64> {
-        let c = self.columns.iter().position(|x| x == column)?;
-        self.rows
-            .iter()
-            .find(|(label, _)| label == "Average")
-            .and_then(|(_, vs)| vs.get(c).copied().flatten())
     }
 }
 
@@ -431,10 +424,6 @@ pub fn ablations(
     seed: u64,
     injections: usize,
 ) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
-    use cord_sim::engine::Machine;
-
     type Variant = (&'static str, fn() -> CordConfig);
     let variants: [Variant; 5] = [
         ("CORD", CordConfig::paper),
@@ -466,13 +455,7 @@ pub fn ablations(
         let campaign = Campaign::plan(&machine, &w, injections, seed ^ app as u64)?;
         let mut vals = Vec::new();
         for (_, mk) in &variants {
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(mk(), 4, machine.cores);
-                let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = cord_detections(&machine, &w, &mk(), &campaign, seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -487,6 +470,25 @@ pub fn ablations(
             .into(),
     }
     .with_average())
+}
+
+/// Injected runs of `campaign` in which CORD under `cfg`, on machine
+/// `mc`, reports at least one race. Run `i` uses seed `seed + i`.
+fn cord_detections(
+    mc: &MachineConfig,
+    w: &Workload,
+    cfg: &CordConfig,
+    campaign: &Campaign,
+    seed: u64,
+) -> Result<u64, CordError> {
+    let mut found = 0u64;
+    for (i, plan) in campaign.plans().enumerate() {
+        let det = CordDetector::new(cfg.clone(), w.num_threads(), mc.cores);
+        let m = Machine::new(mc.clone(), w, det, seed + i as u64, plan);
+        let (_, det) = m.run()?;
+        found += u64::from(!det.races().is_empty());
+    }
+    Ok(found)
 }
 
 /// Cache and bus behaviour of the baseline machine per application (the
@@ -567,10 +569,7 @@ pub fn record_only_cost(scale: ScaleClass, seed: u64) -> Result<FigureTable, Cor
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
     use cord_sim::config::CacheGeometry;
-    use cord_sim::engine::Machine;
 
     let sizes_kb = [8u64, 16, 32, 64, 128];
     let apps = [
@@ -589,13 +588,7 @@ pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, Cor
             let mut mc = MachineConfig::paper_4core();
             mc.l2 = CacheGeometry::new(kb * 1024, 8);
             mc.l1 = CacheGeometry::new((kb * 1024 / 4).max(4096), 4);
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(CordConfig::paper(), 4, mc.cores);
-                let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = cord_detections(&mc, &w, &CordConfig::paper(), &campaign, seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -618,10 +611,6 @@ pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, Cor
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn thread_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
-    use cord_sim::engine::Machine;
-
     let counts = [2usize, 4, 6, 8];
     let apps = [
         cord_workloads::AppKind::Cholesky,
@@ -636,13 +625,7 @@ pub fn thread_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordErr
         for &threads in &counts {
             let w = kernel(app, ScaleClass::Tiny, threads, seed);
             let campaign = Campaign::plan(&machine, &w, injections, seed ^ app as u64)?;
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(CordConfig::paper(), threads, machine.cores);
-                let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = cord_detections(&machine, &w, &CordConfig::paper(), &campaign, seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -813,10 +796,7 @@ fn skew_divergence(cores: usize, rounds: u64, d: u16) -> (u64, u64) {
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
     use cord_sim::config::CoherenceKind;
-    use cord_sim::engine::Machine;
 
     const D: u16 = 16;
     const SKEW_ROUNDS: u64 = 40_000;
@@ -865,13 +845,8 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
                 p.window16_mismatches += cs.window16_mismatches;
                 p.clock_rollovers += cs.clock_rollovers;
                 let campaign = Campaign::plan(&mc, &w, injections, seed ^ app as u64)?;
-                for (i, plan) in campaign.plans().enumerate() {
-                    let det = CordDetector::new(CordConfig::paper(), cores, mc.cores);
-                    let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                    let (_, det) = m.run()?;
-                    p.injected_runs += 1;
-                    p.detections += u64::from(!det.races().is_empty());
-                }
+                p.injected_runs += campaign.len() as u64;
+                p.detections += cord_detections(&mc, &w, &CordConfig::paper(), &campaign, seed)?;
             }
             p.mean_cycles = cycles_sum as f64 / apps.len() as f64;
             let (divergent, spread) = skew_divergence(cores, SKEW_ROUNDS, D);
@@ -951,11 +926,9 @@ pub fn replay_concurrency(scale: ScaleClass, seed: u64) -> Result<FigureTable, C
 /// Returns the [`CordError`] of the first failing clean run; injected
 /// runs are allowed to abort (removals may deadlock) and are skipped.
 pub fn lockfree_family(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
     use cord_fuzz::truthhb::{racy_words, Tandem};
     use cord_inject::count_instances;
     use cord_sim::config::{CoherenceKind, Watchdog};
-    use cord_sim::engine::Machine;
     use std::collections::BTreeSet;
 
     let backends = [CoherenceKind::SnoopingBus, CoherenceKind::Directory];

@@ -45,3 +45,16 @@ pub use checkpoint::{options_hash, Checkpoint};
 pub use configs::{DetectorConfig, DetectorEnum};
 pub use runner::{SweepProgress, SweepRunner};
 pub use sweep::{AppSweep, RunRecord, RunStatus, SweepOptions, SweepResults};
+
+/// Parses a command-line flag's value: `value` is the argument that
+/// followed `flag`. The binaries' flag parsers share it.
+///
+/// # Errors
+///
+/// `"{flag} needs a value"` when `value` is `None`, and `"invalid value
+/// for {flag}: …"` when it does not parse as a `T`.
+pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("invalid value for {flag}: {v:?}"))
+}

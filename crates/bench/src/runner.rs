@@ -1,10 +1,12 @@
-//! The sweep session API: [`SweepRunner`].
+//! The in-process sweep driver: [`SweepRunner`].
 //!
-//! A sweep is a matrix of (application × injected run) simulations.
-//! The old surface was a family of free functions (`sweep_app`,
-//! `sweep_all`, `sweep_all_checkpointed`, …) that each re-threaded the
-//! same options; `SweepRunner` replaces them with one session object
-//! built once and queried many times:
+//! A sweep is a matrix of (application × injected run) simulations. A
+//! `SweepRunner` is one session object, built once and queried many
+//! times. It drives the [sweep pipeline](crate::sweep) in one process:
+//! it plans the apps a checkpoint does not already hold, runs their
+//! cells on a pool, and assembles each app once its last run lands.
+//! What it adds to the pipeline is the session: the app subset, the
+//! checkpoint, progress callbacks and the observability outputs.
 //!
 //! ```no_run
 //! use cord_bench::configs::DetectorConfig;
@@ -43,8 +45,8 @@ use crate::checkpoint::{options_hash, Checkpoint};
 use crate::configs::DetectorConfig;
 use crate::obs::{ObsSink, DEFAULT_TRACE_CAPACITY};
 use crate::sweep::{
-    plan_campaign, run_config_impl, run_injection, run_seed, sweep_workload, AppSweep, Detection,
-    RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
+    cells_of, plan_apps, run_cells, run_config_impl, run_injection, run_seed, sweep_workload,
+    AppSweep, CellObs, Detection, PlannedApp, RunRecord, SweepInputs, SweepOptions, SweepResults,
 };
 use cord_core::CordError;
 use cord_inject::InjectionTarget;
@@ -52,10 +54,9 @@ use cord_pool::{lock_unpoisoned, BatchProgress, Pool};
 use cord_sim::engine::{InjectionPlan, SimError};
 use cord_trace::program::Workload;
 use cord_workloads::{all_apps, AppKind};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A progress snapshot delivered to the callback installed with
@@ -73,7 +74,8 @@ pub struct SweepProgress {
     pub jobs_total: usize,
     /// Jobs in the current phase whose worker captured a panic. Note
     /// that detector panics are caught *inside* the run (becoming
-    /// [`RunStatus::Panicked`] records), so this stays zero unless the
+    /// [`RunStatus::Panicked`](crate::sweep::RunStatus::Panicked)
+    /// records), so this stays zero unless the
     /// sweep machinery itself fails.
     pub jobs_failed: usize,
     /// Applications fully swept so far (resumed ones count).
@@ -211,11 +213,6 @@ impl SweepRunner {
         &self.opts
     }
 
-    /// The configured worker count.
-    pub fn job_count(&self) -> usize {
-        self.jobs
-    }
-
     /// Sweeps every configured application against `configs`.
     ///
     /// # Errors
@@ -318,165 +315,70 @@ impl SweepRunner {
         // Phase 1: plan the injection campaigns (one watchdogged dry
         // run per app), fanned across the pool.
         let workloads: Vec<Workload> = todo.iter().map(|&a| sweep_workload(a, &opts)).collect();
-        let plan_jobs: Vec<_> = todo
-            .iter()
-            .zip(&workloads)
-            .map(|(&app, workload)| move || plan_campaign(workload, app, &opts))
-            .collect();
-        let planned = match &self.progress {
-            Some(cb) => pool.run_ordered_with(plan_jobs, |bp| {
-                cb(&SweepProgress::of("plan", bp, resumed.len(), apps_total));
-            }),
-            None => pool.run_ordered(plan_jobs),
-        };
-
-        // A panic while planning is an app-level failure, recorded the
-        // same way as a failed dry run.
-        let mut state = SweepState {
+        let apps_resumed = resumed.len();
+        let planned = plan_apps(&pool, &todo, &workloads, &opts, |bp| {
+            if let Some(cb) = &self.progress {
+                cb(&SweepProgress::of("plan", bp, apps_resumed, apps_total));
+            }
+        });
+        let cells = cells_of(&planned);
+        let state = Mutex::new(SweepState {
             resumed,
             extra,
-            cells: Vec::with_capacity(todo.len()),
+            apps: planned.into_iter().map(AppCell::new).collect(),
             flush_err: None,
-        };
-        for (workload, campaign) in workloads.iter().zip(planned) {
-            let campaign =
-                campaign.unwrap_or_else(|p| Err(format!("campaign planning panicked: {p}")));
-            state.cells.push(match campaign {
-                Ok(c) => AppCell {
-                    name: workload.name().to_string(),
-                    acquires: c.counts.acquires,
-                    releases: c.counts.releases,
-                    dry_run_error: None,
-                    remaining: c.targets.len(),
-                    records: vec![None; c.targets.len()],
-                    targets: c.targets,
-                },
-                Err(e) => AppCell {
-                    name: workload.name().to_string(),
-                    acquires: 0,
-                    releases: 0,
-                    dry_run_error: Some(e),
-                    remaining: 0,
-                    records: Vec::new(),
-                    targets: Vec::new(),
-                },
-            });
-        }
+        });
+        let writer = checkpoint.map(|path| CheckpointWriter {
+            path,
+            hash,
+            opts,
+            order: apps,
+            io: Mutex::new(()),
+            obs: obs.as_ref(),
+        });
 
         // Flush once before the run batch so apps with zero runs
         // (failed dry runs) and resumed apps are on disk even if every
         // in-flight job is lost to a crash.
-        if let Some(path) = checkpoint {
+        if let Some(w) = &writer {
             if !todo.is_empty() {
-                state.flush(path, hash, &opts, apps);
+                w.flush(&state);
             }
         }
 
-        // Phase 2: the (app × run) injection matrix. Jobs are indexed
-        // by (app, run index); each worker writes its record into the
-        // app's slot and the app's checkpoint flush happens when its
+        // Phase 2: the (app × run) injection matrix. Each record lands
+        // in its app's slot; the checkpoint is rewritten when an app's
         // last run lands.
-        let matrix: Vec<(usize, usize, InjectionTarget)> = state
-            .cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, cell)| {
-                cell.targets
-                    .iter()
-                    .enumerate()
-                    .map(move |(ri, &target)| (ai, ri, target))
-            })
-            .collect();
-        let shared = Mutex::new(state);
-        // Serializes concurrent checkpoint writes (two apps finishing
-        // at once) without making `record()` wait on disk I/O.
-        let flush_io = Mutex::new(());
-        // Queue wait is measured from here; the batch submits right
-        // after job construction, so the skew is microseconds.
-        let batch_start = Instant::now();
-        let run_jobs: Vec<_> = matrix
-            .iter()
-            .map(|&(ai, ri, target)| {
-                let shared = &shared;
-                let flush_io = &flush_io;
-                let workloads = &workloads;
-                let obs = obs.as_ref();
-                move || {
-                    let job_start = Instant::now();
-                    let ctx = obs.map(|sink| RunObsCtx {
-                        sink,
-                        app: workloads[ai].name(),
-                        run_index: ri,
-                    });
-                    let record = run_injection(
-                        target,
-                        configs,
-                        &workloads[ai],
-                        run_seed(&opts, ri),
-                        &opts,
-                        ctx,
-                    );
-                    let app_complete = {
-                        let mut st = lock_unpoisoned(shared);
-                        st.record(ai, ri, record);
-                        st.cells[ai].remaining == 0
-                    };
-                    if app_complete {
-                        if let Some(path) = checkpoint {
-                            flush_checkpoint(shared, flush_io, path, hash, &opts, apps, obs);
-                        }
-                    }
-                    if let Some(sink) = obs {
-                        sink.record_job(job_start.elapsed(), job_start.duration_since(batch_start));
-                    }
-                }
-            })
-            .collect();
-        let outcomes = if self.progress.is_some() || obs.is_some() {
-            pool.run_ordered_with(run_jobs, |bp| {
-                if let Some(sink) = &obs {
-                    sink.record_batch(bp);
-                }
-                if let Some(cb) = &self.progress {
-                    let apps_done = lock_unpoisoned(&shared).apps_done();
-                    cb(&SweepProgress::of("run", bp, apps_done, apps_total));
-                }
-            })
-        } else {
-            pool.run_ordered(run_jobs)
+        let inputs = SweepInputs {
+            workloads: &workloads,
+            configs,
+            opts: &opts,
         };
-
-        let mut state = shared.into_inner().unwrap_or_else(|p| p.into_inner());
-
-        // A job that panicked before writing its slot (unreachable in
-        // practice: `run_injection` catches detector and simulator
-        // panics itself) still yields a record, so the matrix stays
-        // rectangular and the failure is visible in the results.
-        for (&(ai, ri, target), outcome) in matrix.iter().zip(&outcomes) {
-            if let Err(p) = outcome {
-                if state.cells[ai].records[ri].is_none() {
-                    state.record(
-                        ai,
-                        ri,
-                        RunRecord {
-                            target,
-                            status: RunStatus::Panicked {
-                                msg: p.message.clone(),
-                            },
-                            detail: None,
-                            ideal: None,
-                            detections: BTreeMap::new(),
-                        },
-                    );
-                    if state.cells[ai].remaining == 0 {
-                        if let Some(path) = checkpoint {
-                            state.flush(path, hash, &opts, apps);
-                        }
+        let cell_obs = obs.as_ref().map_or(CellObs::Off, CellObs::Shared);
+        let on_batch = |bp: &BatchProgress| {
+            if let Some(cb) = &self.progress {
+                let apps_done = lock_unpoisoned(&state).apps_done();
+                cb(&SweepProgress::of("run", bp, apps_done, apps_total));
+            }
+        };
+        run_cells(
+            &pool,
+            &inputs,
+            &cells,
+            cell_obs,
+            on_batch,
+            |k, record, _| {
+                let (ai, ri, _) = cells[k];
+                let app_complete = lock_unpoisoned(&state).record(ai, ri, record);
+                if app_complete {
+                    if let Some(w) = &writer {
+                        w.flush(&state);
                     }
                 }
-            }
-        }
+            },
+        );
 
+        let mut state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some(e) = state.flush_err.take() {
             return Err(e);
         }
@@ -486,15 +388,14 @@ impl SweepRunner {
         }
 
         let mut out = state.resumed;
-        for cell in &state.cells {
-            if cell.records.iter().any(Option::is_none) {
-                return Err(io::Error::other(CordError::Pool(format!(
-                    "worker pool lost {} run(s) of app {}",
-                    cell.records.iter().filter(|r| r.is_none()).count(),
-                    cell.name
-                ))));
-            }
-            out.push(cell.assemble());
+        for cell in &state.apps {
+            let app = cell.finished().ok_or_else(|| {
+                io::Error::other(CordError::Pool(format!(
+                    "worker pool lost a run of app {}",
+                    cell.plan.app
+                )))
+            })?;
+            out.push(app);
         }
         sort_canonical(&mut out, apps);
         Ok(SweepResults {
@@ -504,44 +405,28 @@ impl SweepRunner {
     }
 }
 
-/// One application's in-flight results.
+/// One planned application and a slot per injected run.
 struct AppCell {
-    name: String,
-    acquires: u64,
-    releases: u64,
-    dry_run_error: Option<String>,
-    remaining: usize,
+    plan: PlannedApp,
     records: Vec<Option<RunRecord>>,
-    targets: Vec<InjectionTarget>,
 }
 
 impl AppCell {
-    /// Assembles the finished [`AppSweep`]. Slots a lost worker never
-    /// filled (unreachable in practice) surface as panicked runs so a
-    /// checkpoint flush can never render a half-empty app.
-    fn assemble(&self) -> AppSweep {
-        AppSweep {
-            app: self.name.clone(),
-            acquire_instances: self.acquires,
-            release_instances: self.releases,
-            dry_run_error: self.dry_run_error.clone(),
-            runs: self
-                .records
-                .iter()
-                .zip(&self.targets)
-                .map(|(r, &target)| {
-                    r.clone().unwrap_or_else(|| RunRecord {
-                        target,
-                        status: RunStatus::Panicked {
-                            msg: "run lost by worker pool (slot never filled)".to_string(),
-                        },
-                        detail: None,
-                        ideal: None,
-                        detections: BTreeMap::new(),
-                    })
-                })
-                .collect(),
+    fn new(plan: PlannedApp) -> AppCell {
+        AppCell {
+            records: vec![None; plan.targets.len()],
+            plan,
         }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.records.iter().all(Option::is_some)
+    }
+
+    /// The finished [`AppSweep`], once every run has landed.
+    fn finished(&self) -> Option<AppSweep> {
+        let runs = self.records.iter().cloned().collect::<Option<Vec<_>>>()?;
+        Some(self.plan.assemble(runs))
     }
 }
 
@@ -549,84 +434,72 @@ impl AppCell {
 struct SweepState {
     resumed: Vec<AppSweep>,
     extra: Vec<AppSweep>,
-    cells: Vec<AppCell>,
+    apps: Vec<AppCell>,
     flush_err: Option<io::Error>,
 }
 
 impl SweepState {
-    fn record(&mut self, ai: usize, ri: usize, record: RunRecord) {
-        let cell = &mut self.cells[ai];
-        if cell.records[ri].is_none() {
-            cell.records[ri] = Some(record);
-            cell.remaining -= 1;
+    /// Stores run `ri` of app `ai` unless its slot is already filled;
+    /// `true` when this record was the app's last missing run.
+    fn record(&mut self, ai: usize, ri: usize, record: RunRecord) -> bool {
+        let cell = &mut self.apps[ai];
+        if cell.records[ri].is_some() {
+            return false;
         }
+        cell.records[ri] = Some(record);
+        cell.is_complete()
     }
 
     fn apps_done(&self) -> usize {
-        self.resumed.len() + self.cells.iter().filter(|c| c.remaining == 0).count()
+        self.resumed.len() + self.apps.iter().filter(|c| c.is_complete()).count()
     }
 
     /// The apps a checkpoint written now should carry: resumed +
     /// completed, in canonical order, with foreign apps appended.
     fn checkpoint_apps(&self, order: &[AppKind]) -> Vec<AppSweep> {
         let mut out = self.resumed.clone();
-        out.extend(
-            self.cells
-                .iter()
-                .filter(|c| c.remaining == 0)
-                .map(AppCell::assemble),
-        );
+        out.extend(self.apps.iter().filter_map(AppCell::finished));
         sort_canonical(&mut out, order);
         out.extend(self.extra.iter().cloned());
         out
     }
-
-    /// Atomically rewrites the checkpoint; the first write error is
-    /// kept (and returned after the batch) rather than aborting
-    /// in-flight simulation work. Serial-path variant of
-    /// [`flush_checkpoint`] for when no workers are running.
-    fn flush(&mut self, path: &Path, hash: u64, opts: &SweepOptions, order: &[AppKind]) {
-        let cp = Checkpoint {
-            options_hash: hash,
-            options: *opts,
-            apps: self.checkpoint_apps(order),
-        };
-        if let Err(e) = cp.store(path) {
-            self.flush_err.get_or_insert(e);
-        }
-    }
 }
 
-/// Worker-side checkpoint flush: snapshots [`SweepState::checkpoint_apps`]
-/// under the state lock, then serializes and writes the file with the
-/// lock *released*, so a slow disk never blocks sibling workers'
-/// `record()` calls. `io_lock` serializes concurrent flushes (they
-/// share a temp file) and guarantees later snapshots land later, so
-/// the file on disk is always the most complete one.
-fn flush_checkpoint(
-    shared: &Mutex<SweepState>,
-    io_lock: &Mutex<()>,
-    path: &Path,
+/// Rewrites a sweep's checkpoint file as its apps complete.
+struct CheckpointWriter<'a> {
+    path: &'a Path,
     hash: u64,
-    opts: &SweepOptions,
-    order: &[AppKind],
-    obs: Option<&ObsSink>,
-) {
-    let started = Instant::now();
-    let _io = lock_unpoisoned(io_lock);
-    let apps = lock_unpoisoned(shared).checkpoint_apps(order);
-    let cp = Checkpoint {
-        options_hash: hash,
-        options: *opts,
-        apps,
-    };
-    if let Err(e) = cp.store(path) {
-        lock_unpoisoned(shared).flush_err.get_or_insert(e);
-    }
-    // The sample includes waiting on the I/O lock: that wait is real
-    // flush latency the worker could have spent running jobs.
-    if let Some(sink) = obs {
-        sink.record_flush(started.elapsed().as_secs_f64());
+    opts: SweepOptions,
+    order: &'a [AppKind],
+    /// Serializes concurrent flushes (they share a temp file) and makes
+    /// later snapshots land later, so the file on disk is always the
+    /// most complete one.
+    io: Mutex<()>,
+    obs: Option<&'a ObsSink>,
+}
+
+impl CheckpointWriter<'_> {
+    /// Snapshots [`SweepState::checkpoint_apps`] under the state lock,
+    /// then writes the file atomically with the lock *released*, so a
+    /// slow disk never blocks sibling workers' `record()` calls. The
+    /// first write error is kept in the state (and returned after the
+    /// batch) rather than aborting in-flight simulation work.
+    fn flush(&self, state: &Mutex<SweepState>) {
+        let started = Instant::now();
+        let _io = lock_unpoisoned(&self.io);
+        let cp = Checkpoint {
+            options_hash: self.hash,
+            options: self.opts,
+            apps: lock_unpoisoned(state).checkpoint_apps(self.order),
+        };
+        if let Err(e) = cp.store(self.path) {
+            lock_unpoisoned(state).flush_err.get_or_insert(e);
+        }
+        // The sample includes waiting on the I/O lock: that wait is real
+        // flush latency the worker could have spent running jobs.
+        if let Some(sink) = self.obs {
+            sink.record_flush(started.elapsed().as_secs_f64());
+        }
     }
 }
 

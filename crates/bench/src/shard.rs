@@ -14,15 +14,23 @@
 //! * The on-disk layout ([`CampaignDir`]): `spec.json`, `plan.json`
 //!   (sweeps), a `DRAIN` marker, `shards/<s>/{checkpoint.json,
 //!   heartbeat,log,DONE}`, and `merged/` outputs.
-//! * The worker loop ([`worker_main`]): derive the shard's global
-//!   indices from pure arithmetic ([`cord_shard::ShardPlan`]), resume
-//!   past whatever its durable checkpoint already holds, run a chunk,
-//!   append to the checkpoint crash-atomically, beat the heartbeat,
-//!   repeat; finally write the `DONE` marker.
+//! * The worker ([`worker_main`]): derive the shard's global indices
+//!   from pure arithmetic ([`cord_shard::ShardPlan`]), then run one
+//!   resume loop for either campaign kind: skip whatever the durable
+//!   checkpoint already holds, run a chunk, rewrite the checkpoint
+//!   crash-atomically, beat the heartbeat, repeat; finally write the
+//!   `DONE` marker.
 //! * The coordinator ([`coordinate`]): write/verify the spec, plan
 //!   sweeps once (workers share one plan, so target sets can never
 //!   diverge), wire [`cord_shard::supervise`] to real worker
 //!   processes, then merge shard checkpoints into byte-stable outputs.
+//!
+//! A sweep campaign runs the same [sweep pipeline](crate::sweep) as
+//! [`SweepRunner`](crate::runner::SweepRunner), split across
+//! processes: the coordinator plans (`plan.json` holds the
+//! [`PlannedApp`]s), each worker runs its share of the cells, and the
+//! merge assembles the apps. So a sharded sweep's `results.json` is the
+//! in-process runner's results, byte for byte.
 //!
 //! # Byte-identity
 //!
@@ -43,15 +51,15 @@
 use crate::configs::DetectorConfig;
 use crate::obs::ObsSink;
 use crate::sweep::{
-    plan_campaign, run_injection, run_seed, sweep_workload, target_from_json, target_to_json,
-    AppSweep, RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
+    cells_of, plan_apps, run_cells, sweep_workload, Cell, CellObs, PlannedApp, RunRecord,
+    RunStatus, SweepInputs, SweepOptions, SweepResults,
 };
 use cord_fuzz::campaign::{run_campaign_cases, CampaignConfig, CampaignReport, CaseReport};
 use cord_fuzz::gen::GenConfig;
 use cord_fuzz::oracle::OracleOptions;
 use cord_fuzz::GenMode;
-use cord_inject::InjectionTarget;
-use cord_json::{durable, obj, FromJson, Json, JsonError, ToJson};
+use cord_json::durable::{self, fnv1a};
+use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::MetricsRegistry;
 use cord_pool::{lock_unpoisoned, Pool};
 use cord_shard::{
@@ -65,23 +73,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Environment variable naming shard ids (comma-separated) whose
 /// workers must fail immediately — a test hook for exercising the
 /// abandonment path deterministically.
 pub const FAIL_SHARDS_ENV: &str = "CORD_SHARD_FAIL_SHARDS";
-
-/// FNV-1a, the workspace's standard content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn app_by_name(name: &str) -> Option<AppKind> {
     all_apps().into_iter().find(|a| a.name() == name)
@@ -365,51 +363,6 @@ impl CampaignDir {
 // ---------------------------------------------------------------------
 // Sweep plan (coordinator plans once; all workers share it)
 
-/// One app's planned campaign, as stored in `plan.json`.
-#[derive(Debug, Clone)]
-pub struct PlannedApp {
-    /// Application name.
-    pub app: String,
-    /// Removable acquire-site instances counted by the dry run.
-    pub acquires: u64,
-    /// Removable release-site instances counted by the dry run.
-    pub releases: u64,
-    /// The dry-run failure, if planning failed (no targets then).
-    pub dry_run_error: Option<String>,
-    /// The drawn injection targets, in run order.
-    pub targets: Vec<InjectionTarget>,
-}
-
-impl PlannedApp {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("app", self.app.to_json()),
-            ("acquires", self.acquires.to_json()),
-            ("releases", self.releases.to_json()),
-            ("dry_run_error", self.dry_run_error.to_json()),
-            (
-                "targets",
-                Json::Array(self.targets.iter().map(target_to_json).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<PlannedApp, JsonError> {
-        Ok(PlannedApp {
-            app: String::from_json(v.field("app")?)?,
-            acquires: u64::from_json(v.field("acquires")?)?,
-            releases: u64::from_json(v.field("releases")?)?,
-            dry_run_error: Option::<String>::from_json(v.field("dry_run_error")?)?,
-            targets: v
-                .field("targets")?
-                .as_array()?
-                .iter()
-                .map(target_from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
 /// The shared sweep plan: per-app target sets plus the flattened
 /// global cell list every shard partitions identically.
 #[derive(Debug, Clone)]
@@ -421,26 +374,14 @@ pub struct SweepPlan {
 impl SweepPlan {
     /// The flattened (app index, run index, target) cells, in global
     /// index order — the unit the shard plan partitions.
-    pub fn cells(&self) -> Vec<(usize, usize, InjectionTarget)> {
-        self.apps
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, app)| {
-                app.targets
-                    .iter()
-                    .enumerate()
-                    .map(move |(ri, &t)| (ai, ri, t))
-            })
-            .collect()
+    pub fn cells(&self) -> Vec<Cell> {
+        cells_of(&self.apps)
     }
 
     fn to_doc(&self, spec_hash: u64) -> Json {
         obj(vec![
             ("spec_hash", spec_hash.to_json()),
-            (
-                "apps",
-                Json::Array(self.apps.iter().map(PlannedApp::to_json).collect()),
-            ),
+            ("apps", self.apps.to_json()),
         ])
     }
 
@@ -452,12 +393,7 @@ impl SweepPlan {
             )));
         }
         Ok(SweepPlan {
-            apps: v
-                .field("apps")?
-                .as_array()?
-                .iter()
-                .map(PlannedApp::from_json)
-                .collect::<Result<_, _>>()?,
+            apps: Vec::<PlannedApp>::from_json(v.field("apps")?)?,
         })
     }
 }
@@ -466,45 +402,15 @@ impl SweepPlan {
 /// `jobs` threads) — deterministic, so the coordinator can plan once
 /// and every worker reuses the same `plan.json`.
 pub fn plan_sweep(spec: &SweepSpec, jobs: usize) -> SweepPlan {
-    let opts = spec.opts;
     let workloads: Vec<_> = spec
         .apps
         .iter()
-        .map(|&a| sweep_workload(a, &opts))
+        .map(|&a| sweep_workload(a, &spec.opts))
         .collect();
     let pool = Pool::new(jobs.max(1));
-    let jobs_vec: Vec<_> = spec
-        .apps
-        .iter()
-        .zip(&workloads)
-        .map(|(&app, workload)| move || plan_campaign(workload, app, &opts))
-        .collect();
-    let planned = pool.run_ordered(jobs_vec);
-    let apps = workloads
-        .iter()
-        .zip(planned)
-        .map(|(workload, outcome)| {
-            let campaign =
-                outcome.unwrap_or_else(|p| Err(format!("campaign planning panicked: {p}")));
-            match campaign {
-                Ok(c) => PlannedApp {
-                    app: workload.name().to_string(),
-                    acquires: c.counts.acquires,
-                    releases: c.counts.releases,
-                    dry_run_error: None,
-                    targets: c.targets,
-                },
-                Err(e) => PlannedApp {
-                    app: workload.name().to_string(),
-                    acquires: 0,
-                    releases: 0,
-                    dry_run_error: Some(e),
-                    targets: Vec::new(),
-                },
-            }
-        })
-        .collect();
-    SweepPlan { apps }
+    SweepPlan {
+        apps: plan_apps(&pool, &spec.apps, &workloads, &spec.opts, |_| {}),
+    }
 }
 
 fn load_plan(dir: &CampaignDir, spec_hash: u64) -> io::Result<SweepPlan> {
@@ -521,82 +427,103 @@ fn load_plan(dir: &CampaignDir, spec_hash: u64) -> io::Result<SweepPlan> {
 // ---------------------------------------------------------------------
 // Shard checkpoints (worker-written, durable)
 
-/// A fuzz shard's durable state: completed cases keyed by global index.
-#[derive(Debug, Clone, Default)]
-struct FuzzShardState {
-    cases: BTreeMap<usize, CaseReport>,
+/// One finished work item as a shard checkpoint stores it.
+trait ShardItem: Sized {
+    /// The checkpoint field listing the items; also the noun of the
+    /// worker's progress lines.
+    const KEY: &'static str;
+    fn encode(&self, index: usize) -> Json;
+    fn decode(v: &Json) -> Result<(usize, Self), JsonError>;
 }
 
-impl FuzzShardState {
+/// A fuzz case carries its own global index.
+impl ShardItem for CaseReport {
+    const KEY: &'static str = "cases";
+
+    fn encode(&self, _index: usize) -> Json {
+        self.to_json()
+    }
+
+    fn decode(v: &Json) -> Result<(usize, Self), JsonError> {
+        let case = CaseReport::from_json(v)?;
+        Ok((case.index, case))
+    }
+}
+
+/// A finished sweep cell: its record and its run's deterministic
+/// counters.
+type SweepCell = (RunRecord, MetricsRegistry);
+
+impl ShardItem for SweepCell {
+    const KEY: &'static str = "cells";
+
+    fn encode(&self, index: usize) -> Json {
+        let (record, metrics) = self;
+        let mut fields = vec![
+            ("index", (index as u64).to_json()),
+            ("record", record.to_json()),
+        ];
+        if !metrics.is_empty() {
+            fields.push(("metrics", metrics.to_json()));
+        }
+        obj(fields)
+    }
+
+    fn decode(v: &Json) -> Result<(usize, Self), JsonError> {
+        let index = u64::from_json(v.field("index")?)? as usize;
+        let record = RunRecord::from_json(v.field("record")?)?;
+        let metrics = match v.get("metrics") {
+            Some(m) => MetricsRegistry::from_json(m)?,
+            None => MetricsRegistry::default(),
+        };
+        Ok((index, (record, metrics)))
+    }
+}
+
+/// A shard's durable state: its finished items keyed by global index.
+#[derive(Debug, Clone)]
+struct ShardState<T> {
+    done: BTreeMap<usize, T>,
+}
+
+type FuzzShardState = ShardState<CaseReport>;
+type SweepShardState = ShardState<SweepCell>;
+
+impl<T> Default for ShardState<T> {
+    fn default() -> Self {
+        ShardState {
+            done: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T: ShardItem> ShardState<T> {
     fn to_doc(&self, spec_hash: u64, shard: usize) -> Json {
         obj(vec![
             ("spec_hash", spec_hash.to_json()),
             ("shard", (shard as u64).to_json()),
             (
-                "cases",
-                Json::Array(self.cases.values().map(ToJson::to_json).collect()),
+                T::KEY,
+                Json::Array(self.done.iter().map(|(&i, item)| item.encode(i)).collect()),
             ),
         ])
     }
 
-    fn from_doc(v: &Json, spec_hash: u64) -> Result<FuzzShardState, JsonError> {
+    fn from_doc(v: &Json, spec_hash: u64) -> Result<ShardState<T>, JsonError> {
         if u64::from_json(v.field("spec_hash")?)? != spec_hash {
             return Err(JsonError::new("checkpoint belongs to a different spec"));
         }
-        let mut cases = BTreeMap::new();
-        for c in v.field("cases")?.as_array()? {
-            let case = CaseReport::from_json(c)?;
-            cases.insert(case.index, case);
+        let mut done = BTreeMap::new();
+        for item in v.field(T::KEY)?.as_array()? {
+            let (index, item) = T::decode(item)?;
+            done.insert(index, item);
         }
-        Ok(FuzzShardState { cases })
-    }
-}
-
-/// A sweep shard's durable state: completed cells keyed by global
-/// index, each with its record and deterministic per-run metrics.
-#[derive(Debug, Clone, Default)]
-struct SweepShardState {
-    cells: BTreeMap<usize, (RunRecord, MetricsRegistry)>,
-}
-
-impl SweepShardState {
-    fn to_doc(&self, spec_hash: u64, shard: usize) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|(index, (record, metrics))| {
-                let mut fields = vec![
-                    ("index", (*index as u64).to_json()),
-                    ("record", record.to_json()),
-                ];
-                if !metrics.is_empty() {
-                    fields.push(("metrics", metrics.to_json()));
-                }
-                obj(fields)
-            })
-            .collect();
-        obj(vec![
-            ("spec_hash", spec_hash.to_json()),
-            ("shard", (shard as u64).to_json()),
-            ("cells", Json::Array(cells)),
-        ])
+        Ok(ShardState { done })
     }
 
-    fn from_doc(v: &Json, spec_hash: u64) -> Result<SweepShardState, JsonError> {
-        if u64::from_json(v.field("spec_hash")?)? != spec_hash {
-            return Err(JsonError::new("checkpoint belongs to a different spec"));
-        }
-        let mut cells = BTreeMap::new();
-        for c in v.field("cells")?.as_array()? {
-            let index = u64::from_json(c.field("index")?)? as usize;
-            let record = RunRecord::from_json(c.field("record")?)?;
-            let metrics = match c.get("metrics") {
-                Some(m) => MetricsRegistry::from_json(m)?,
-                None => MetricsRegistry::default(),
-            };
-            cells.insert(index, (record, metrics));
-        }
-        Ok(SweepShardState { cells })
+    /// The shard's checkpoint, if it holds a document of this spec.
+    fn load(dir: &CampaignDir, spec_hash: u64, shard: usize) -> Option<ShardState<T>> {
+        ShardState::from_doc(&load_shard_doc(dir, shard)?, spec_hash).ok()
     }
 }
 
@@ -617,15 +544,12 @@ fn shard_progress(dir: &CampaignDir, spec: &CampaignSpec, shard: usize) -> (usiz
             Err(_) => return (0, 0),
         },
     };
-    let done = match (spec, load_shard_doc(dir, shard)) {
-        (_, None) => 0,
-        (CampaignSpec::Fuzz(_), Some(doc)) => FuzzShardState::from_doc(&doc, spec.spec_hash())
-            .map(|s| s.cases.len())
-            .unwrap_or(0),
-        (CampaignSpec::Sweep(_), Some(doc)) => SweepShardState::from_doc(&doc, spec.spec_hash())
-            .map(|s| s.cells.len())
-            .unwrap_or(0),
+    let hash = spec.spec_hash();
+    let done = match spec {
+        CampaignSpec::Fuzz(_) => FuzzShardState::load(dir, hash, shard).map(|s| s.done.len()),
+        CampaignSpec::Sweep(_) => SweepShardState::load(dir, hash, shard).map(|s| s.done.len()),
     };
+    let done = done.unwrap_or(0);
     (done, plan_total)
 }
 
@@ -677,6 +601,58 @@ fn fail_requested(shard: usize) -> bool {
         .unwrap_or(false)
 }
 
+/// The worker's resume loop, shared by both campaign kinds: load the
+/// shard's checkpoint (discarding one of another spec), work out which
+/// of `mine` are left, and write the checkpoint even when nothing is
+/// (so a zero-item shard has one). Then run the rest in chunks of
+/// `chunk`; after each, write the checkpoint durably, beat the
+/// heartbeat and print progress.
+fn resume_in_chunks<T: ShardItem>(
+    dir: &CampaignDir,
+    spec_hash: u64,
+    shard: usize,
+    mine: &[usize],
+    chunk: usize,
+    heartbeat: &mut HeartbeatWriter,
+    mut run: impl FnMut(&[usize], &mut ShardState<T>),
+) -> io::Result<()> {
+    let mut state = match load_shard_doc(dir, shard) {
+        Some(doc) => ShardState::from_doc(&doc, spec_hash).unwrap_or_else(|e| {
+            eprintln!("warning: shard {shard}: discarding checkpoint ({e})");
+            ShardState::default()
+        }),
+        None => ShardState::default(),
+    };
+    let todo: Vec<usize> = mine
+        .iter()
+        .copied()
+        .filter(|i| !state.done.contains_key(i))
+        .collect();
+    eprintln!(
+        "shard {shard}: {} of {} {} already checkpointed, {} to run",
+        state.done.len(),
+        mine.len(),
+        T::KEY,
+        todo.len()
+    );
+    let ckpt = dir.shard_checkpoint(shard);
+    if todo.is_empty() {
+        return durable::write_checkpoint(&ckpt, &state.to_doc(spec_hash, shard));
+    }
+    for batch in todo.chunks(chunk) {
+        run(batch, &mut state);
+        durable::write_checkpoint(&ckpt, &state.to_doc(spec_hash, shard))?;
+        heartbeat.beat()?;
+        eprintln!(
+            "shard {shard}: {}/{} {}",
+            state.done.len(),
+            mine.len(),
+            T::KEY
+        );
+    }
+    Ok(())
+}
+
 fn worker_fuzz(
     dir: &CampaignDir,
     spec: &CampaignSpec,
@@ -684,48 +660,19 @@ fn worker_fuzz(
     shard: usize,
     heartbeat: &mut HeartbeatWriter,
 ) -> io::Result<()> {
-    let hash = spec.spec_hash();
-    let plan = ShardPlan::new(fuzz.shards, fuzz.count);
-    let mine: Vec<usize> = plan.indices(shard).collect();
-    let mut state = match load_shard_doc(dir, shard) {
-        Some(doc) => FuzzShardState::from_doc(&doc, hash).unwrap_or_else(|e| {
-            eprintln!("warning: shard {shard}: discarding checkpoint ({e})");
-            FuzzShardState::default()
-        }),
-        None => FuzzShardState::default(),
-    };
-    let cfg = fuzz.campaign_config(dir.root());
-    let todo: Vec<usize> = mine
-        .iter()
-        .copied()
-        .filter(|i| !state.cases.contains_key(i))
+    let mine: Vec<usize> = ShardPlan::new(fuzz.shards, fuzz.count)
+        .indices(shard)
         .collect();
-    eprintln!(
-        "shard {shard}: {} of {} cases already checkpointed, {} to run",
-        state.cases.len(),
-        mine.len(),
-        todo.len()
-    );
-    let ckpt = dir.shard_checkpoint(shard);
-    if todo.is_empty() {
-        // Resumed straight into completeness; make sure the checkpoint
-        // exists even for zero-case shards.
-        durable::write_checkpoint(&ckpt, &state.to_doc(hash, shard))?;
-        return Ok(());
-    }
+    let cfg = fuzz.campaign_config(dir.root());
     // Chunk size balances checkpoint granularity (work lost to a kill)
     // against flush overhead.
     let chunk = (cfg.jobs * 4).max(8);
-    for batch in todo.chunks(chunk) {
-        let report = run_campaign_cases(&cfg, batch, |_, _| {});
-        for case in report.cases {
-            state.cases.insert(case.index, case);
+    let hash = spec.spec_hash();
+    resume_in_chunks(dir, hash, shard, &mine, chunk, heartbeat, |batch, state| {
+        for case in run_campaign_cases(&cfg, batch, |_, _| {}).cases {
+            state.done.insert(case.index, case);
         }
-        durable::write_checkpoint(&ckpt, &state.to_doc(hash, shard))?;
-        heartbeat.beat()?;
-        eprintln!("shard {shard}: {}/{} cases", state.cases.len(), mine.len());
-    }
-    Ok(())
+    })
 }
 
 fn worker_sweep(
@@ -736,104 +683,51 @@ fn worker_sweep(
     heartbeat: &mut HeartbeatWriter,
 ) -> io::Result<()> {
     let hash = spec.spec_hash();
-    let plan = load_plan(dir, hash)?;
-    let cells = plan.cells();
-    let shard_plan = ShardPlan::new(sweep.shards, cells.len());
-    let mine: Vec<usize> = shard_plan.indices(shard).collect();
-    let mut state = match load_shard_doc(dir, shard) {
-        Some(doc) => SweepShardState::from_doc(&doc, hash).unwrap_or_else(|e| {
-            eprintln!("warning: shard {shard}: discarding checkpoint ({e})");
-            SweepShardState::default()
-        }),
-        None => SweepShardState::default(),
-    };
-    let todo: Vec<usize> = mine
-        .iter()
-        .copied()
-        .filter(|i| !state.cells.contains_key(i))
+    let cells = load_plan(dir, hash)?.cells();
+    let mine: Vec<usize> = ShardPlan::new(sweep.shards, cells.len())
+        .indices(shard)
         .collect();
-    eprintln!(
-        "shard {shard}: {} of {} cells already checkpointed, {} to run",
-        state.cells.len(),
-        mine.len(),
-        todo.len()
-    );
-    let ckpt = dir.shard_checkpoint(shard);
-    if todo.is_empty() {
-        durable::write_checkpoint(&ckpt, &state.to_doc(hash, shard))?;
-        return Ok(());
-    }
     let opts = sweep.opts;
     let configs = DetectorConfig::all_for_sweep();
-    let workloads: Vec<_> = sweep
-        .apps
-        .iter()
-        .map(|&a| sweep_workload(a, &opts))
-        .collect();
     let jobs = sweep.worker_jobs.max(1);
     let pool = Pool::new(jobs);
+    // Kernels are built on the first chunk: a shard resumed into
+    // completeness never needs them.
+    let mut workloads = Vec::new();
     let chunk = (jobs * 2).max(4);
-    for batch in todo.chunks(chunk) {
-        let results = Mutex::new(Vec::new());
-        let jobs_vec: Vec<_> = batch
-            .iter()
-            .map(|&index| {
-                let (ai, ri, target) = cells[index];
-                let workloads = &workloads;
-                let configs = &configs;
-                let results = &results;
-                move || {
-                    // A fresh per-cell sink captures the run's
-                    // deterministic counters so the coordinator can
-                    // merge metrics in global index order.
-                    let sink = ObsSink::new(None, 1);
-                    let ctx = RunObsCtx {
-                        sink: &sink,
-                        app: workloads[ai].name(),
-                        run_index: ri,
-                    };
-                    let record = run_injection(
-                        target,
-                        configs,
-                        &workloads[ai],
-                        run_seed(&opts, ri),
-                        &opts,
-                        Some(ctx),
-                    );
-                    lock_unpoisoned(results).push((index, record, sink.registry_snapshot()));
-                }
-            })
-            .collect();
-        let outcomes = pool.run_ordered(jobs_vec);
-        for (index, record, metrics) in results.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            state.cells.insert(index, (record, metrics));
+    resume_in_chunks(dir, hash, shard, &mine, chunk, heartbeat, |batch, state| {
+        if workloads.is_empty() {
+            workloads = sweep
+                .apps
+                .iter()
+                .map(|&a| sweep_workload(a, &opts))
+                .collect();
         }
-        // A worker-pool panic is unreachable in practice (run_injection
-        // catches run panics itself), but keep the matrix rectangular.
-        for (&index, outcome) in batch.iter().zip(&outcomes) {
-            if let Err(p) = outcome {
-                state.cells.entry(index).or_insert_with(|| {
-                    let (_, _, target) = cells[index];
-                    (
-                        RunRecord {
-                            target,
-                            status: RunStatus::Panicked {
-                                msg: p.message.clone(),
-                            },
-                            detail: None,
-                            ideal: None,
-                            detections: BTreeMap::new(),
-                        },
-                        MetricsRegistry::default(),
-                    )
-                });
-            }
-        }
-        durable::write_checkpoint(&ckpt, &state.to_doc(hash, shard))?;
-        heartbeat.beat()?;
-        eprintln!("shard {shard}: {}/{} cells", state.cells.len(), mine.len());
-    }
-    Ok(())
+        let inputs = SweepInputs {
+            workloads: &workloads,
+            configs: &configs,
+            opts: &opts,
+        };
+        let batch_cells: Vec<Cell> = batch.iter().map(|&i| cells[i]).collect();
+        let done = Mutex::new(std::mem::take(&mut state.done));
+        // A fresh sink per cell captures the run's deterministic
+        // counters, so the coordinator can merge metrics in global
+        // index order whatever the shard count.
+        run_cells(
+            &pool,
+            &inputs,
+            &batch_cells,
+            CellObs::PerCell,
+            |_| {},
+            |k, record, sink| {
+                let metrics = sink.map(ObsSink::registry_snapshot).unwrap_or_default();
+                lock_unpoisoned(&done)
+                    .entry(batch[k])
+                    .or_insert((record, metrics));
+            },
+        );
+        state.done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1061,10 +955,8 @@ fn merge_fuzz(
     let hash = spec.spec_hash();
     let mut cases: BTreeMap<usize, CaseReport> = BTreeMap::new();
     for shard in 0..fuzz.shards.max(1) {
-        if let Some(doc) = load_shard_doc(dir, shard) {
-            if let Ok(state) = FuzzShardState::from_doc(&doc, hash) {
-                cases.extend(state.cases);
-            }
+        if let Some(state) = FuzzShardState::load(dir, hash, shard) {
+            cases.extend(state.done);
         }
     }
     let report = CampaignReport {
@@ -1121,12 +1013,10 @@ fn merge_sweep(
     let plan = load_plan(dir, hash)?;
     let cells = plan.cells();
     let shard_plan = ShardPlan::new(sweep.shards, cells.len());
-    let mut merged: BTreeMap<usize, (RunRecord, MetricsRegistry)> = BTreeMap::new();
+    let mut merged: BTreeMap<usize, SweepCell> = BTreeMap::new();
     for shard in 0..sweep.shards.max(1) {
-        if let Some(doc) = load_shard_doc(dir, shard) {
-            if let Ok(state) = SweepShardState::from_doc(&doc, hash) {
-                merged.extend(state.cells);
-            }
+        if let Some(state) = SweepShardState::load(dir, hash, shard) {
+            merged.extend(state.done);
         }
     }
 
@@ -1138,11 +1028,11 @@ fn merge_sweep(
         .map(|a| Vec::with_capacity(a.targets.len()))
         .collect();
     let mut reg = MetricsRegistry::default();
-    for (index, &(ai, _ri, target)) in cells.iter().enumerate() {
-        match merged.get(&index) {
+    for (index, &(ai, _, target)) in cells.iter().enumerate() {
+        let record = match merged.remove(&index) {
             Some((record, metrics)) => {
-                runs_by_app[ai].push(record.clone());
-                reg.merge(metrics);
+                reg.merge(&metrics);
+                record
             }
             None => {
                 let shard = shard_plan.shard_of(index);
@@ -1150,31 +1040,19 @@ fn merge_sweep(
                     .get(&shard)
                     .cloned()
                     .unwrap_or_else(|| format!("shard {shard} produced no record"));
-                runs_by_app[ai].push(RunRecord {
-                    target,
-                    status: RunStatus::Abandoned { reason },
-                    detail: None,
-                    ideal: None,
-                    detections: BTreeMap::new(),
-                });
+                RunRecord::not_completed(target, RunStatus::Abandoned { reason })
             }
-        }
+        };
+        runs_by_app[ai].push(record);
     }
-    let apps: Vec<AppSweep> = plan
-        .apps
-        .iter()
-        .zip(runs_by_app)
-        .map(|(planned, runs)| AppSweep {
-            app: planned.app.clone(),
-            acquire_instances: planned.acquires,
-            release_instances: planned.releases,
-            dry_run_error: planned.dry_run_error.clone(),
-            runs,
-        })
-        .collect();
     let results = SweepResults {
         options: sweep.opts,
-        apps,
+        apps: plan
+            .apps
+            .iter()
+            .zip(runs_by_app)
+            .map(|(planned, runs)| planned.assemble(runs))
+            .collect(),
     };
 
     fs::create_dir_all(dir.merged("results.json").parent().unwrap_or(dir.root()))?;
@@ -1352,6 +1230,43 @@ mod tests {
         assert_eq!(
             plan.cells().iter().map(|c| c.2).collect::<Vec<_>>(),
             again.cells().iter().map(|c| c.2).collect::<Vec<_>>()
+        );
+    }
+
+    /// A `plan.json` document and a sweep-shard checkpoint document as
+    /// the shard campaign writes them (compact rendering of the same
+    /// trees the files hold). Campaign directories started by an
+    /// earlier build must still resume, so both formats are pinned.
+    const PLAN_DOC: &str = concat!(
+        r#"{"spec_hash":4660,"apps":["#,
+        r#"{"app":"fft","acquires":12,"releases":9,"dry_run_error":null,"targets":["#,
+        r#"{"kind":"acquire","instance":3},{"kind":"release","instance":7}]},"#,
+        r#"{"app":"radix","acquires":0,"releases":0,"#,
+        r#""dry_run_error":"deadlock at cycle 99","targets":[]}]}"#,
+    );
+    const SHARD_CHECKPOINT_DOC: &str = concat!(
+        r#"{"spec_hash":4660,"shard":1,"cells":["#,
+        r#"{"index":1,"record":{"target":{"kind":"acquire","instance":3},"#,
+        r#""status":{"status":"completed"},"detail":null,"ideal":{"races":3},"#,
+        r#""detections":{"CORD-D16":{"races":2},"Ideal":{"races":3}}},"#,
+        r#""metrics":{"counters":{"sim.cycles":1234},"gauges":{"sim.ipc":0.5}}},"#,
+        r#"{"index":3,"record":{"target":{"kind":"release","instance":7},"#,
+        r#""status":{"status":"panicked","msg":"boom"},"detail":null,"ideal":null,"#,
+        r#""detections":{}}}]}"#,
+    );
+
+    #[test]
+    fn persisted_plan_and_shard_checkpoint_documents_roundtrip_byte_for_byte() {
+        let doc = Json::parse(PLAN_DOC).expect("plan parses");
+        let plan = SweepPlan::from_doc(&doc, 0x1234).expect("plan decodes");
+        assert_eq!(plan.cells().len(), 2);
+        assert_eq!(plan.to_doc(0x1234).to_string_compact(), PLAN_DOC);
+
+        let doc = Json::parse(SHARD_CHECKPOINT_DOC).expect("checkpoint parses");
+        let state = SweepShardState::from_doc(&doc, 0x1234).expect("checkpoint decodes");
+        assert_eq!(
+            state.to_doc(0x1234, 1).to_string_compact(),
+            SHARD_CHECKPOINT_DOC
         );
     }
 }

@@ -1,5 +1,23 @@
 //! The §3.4 injection sweep: the data source for Figures 10 and 12–17.
 //!
+//! This module is the one sweep pipeline. The in-process
+//! [`SweepRunner`](crate::runner::SweepRunner) and the multi-process
+//! shard coordinator and workers in [`shard`](crate::shard) drive the
+//! same three stages, so a sweep computes the same records whichever
+//! driver runs it:
+//!
+//! 1. **Plan** (`plan_apps`): one watchdogged dry run per application,
+//!    fanned over a pool, gives each app's [`PlannedApp`]: its
+//!    removable-instance counts and the injection targets drawn from
+//!    them.
+//! 2. **Run** (`run_cells`): the (app × run) cells of the plan fan out
+//!    over a pool, one `run_injection` per cell, and a per-cell
+//!    completion hook receives each [`RunRecord`]. The runner's
+//!    checkpoint flush and the shard worker's per-cell metrics capture
+//!    are such hooks.
+//! 3. **Assemble** (`PlannedApp::assemble`): one record per target
+//!    becomes the app's [`AppSweep`].
+//!
 //! Injection campaigns are *fault-tolerant*: every injected run executes
 //! under a panic boundary with a watchdog-configured machine, so a run
 //! that deadlocks, livelocks, exceeds its cycle budget, or panics inside
@@ -14,13 +32,14 @@ use cord_core::{Detector, LatencyObserver, ObsCtx};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, TraceHandle};
-use cord_pool::panic_message;
+use cord_pool::{panic_message, BatchProgress, Pool};
 use cord_sim::config::{CoherenceKind, MachineConfig, Watchdog};
 use cord_sim::engine::{InjectionPlan, Machine, SimError};
 use cord_trace::program::Workload;
 use cord_workloads::{kernel, AppKind, ScaleClass};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +140,22 @@ impl ScaleClassOpt {
         }
     }
 
-    fn name(self) -> &'static str {
+    /// Short machine-readable name (CLI flag values and JSON).
+    pub fn name(self) -> &'static str {
         match self {
             ScaleClassOpt::Tiny => "tiny",
             ScaleClassOpt::Small => "small",
             ScaleClassOpt::Paper => "paper",
+        }
+    }
+
+    /// Inverse of [`name`](Self::name).
+    pub fn from_name(s: &str) -> Option<Self> {
+        match s {
+            "tiny" => Some(ScaleClassOpt::Tiny),
+            "small" => Some(ScaleClassOpt::Small),
+            "paper" => Some(ScaleClassOpt::Paper),
+            _ => None,
         }
     }
 }
@@ -253,6 +283,20 @@ pub struct RunRecord {
     pub ideal: Option<Detection>,
     /// Per-configuration detections, keyed by label.
     pub detections: BTreeMap<String, Detection>,
+}
+
+impl RunRecord {
+    /// The record of a run that did not complete: no diagnostics, no
+    /// Ideal verdict and no detections.
+    pub(crate) fn not_completed(target: InjectionTarget, status: RunStatus) -> RunRecord {
+        RunRecord {
+            target,
+            status,
+            detail: None,
+            ideal: None,
+            detections: BTreeMap::new(),
+        }
+    }
 }
 
 /// All injected runs of one application.
@@ -510,21 +554,15 @@ pub(crate) fn run_injection(
             detections,
         },
         Ok(Err(sim)) => RunRecord {
-            target,
-            status: RunStatus::from_sim_error(&sim),
             detail: Some(sim.to_string()),
-            ideal: None,
-            detections: BTreeMap::new(),
+            ..RunRecord::not_completed(target, RunStatus::from_sim_error(&sim))
         },
-        Err(payload) => RunRecord {
+        Err(payload) => RunRecord::not_completed(
             target,
-            status: RunStatus::Panicked {
+            RunStatus::Panicked {
                 msg: panic_message(payload.as_ref()),
             },
-            detail: None,
-            ideal: None,
-            detections: BTreeMap::new(),
-        },
+        ),
     }
 }
 
@@ -546,7 +584,7 @@ pub(crate) fn sweep_workload(app: AppKind, opts: &SweepOptions) -> Workload {
 /// executes on the paper machine, watchdogged like every other run in
 /// the sweep. Errors are rendered to strings (they become the
 /// [`AppSweep::dry_run_error`]).
-pub(crate) fn plan_campaign(
+fn plan_campaign(
     workload: &Workload,
     app: AppKind,
     opts: &SweepOptions,
@@ -571,6 +609,195 @@ pub(crate) fn plan_campaign(
     campaign.map_err(|e| e.to_string())
 }
 
+/// One application's planned campaign: what its dry run counted and
+/// the injection targets drawn from that, in run order. A shard
+/// campaign stores these in its `plan.json`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlannedApp {
+    /// Application name.
+    pub app: String,
+    /// Removable acquire-site instances counted by the dry run.
+    pub acquires: u64,
+    /// Removable release-site instances counted by the dry run.
+    pub releases: u64,
+    /// The dry-run failure, if planning failed (no targets then).
+    pub dry_run_error: Option<String>,
+    /// The drawn injection targets, in run order.
+    pub targets: Vec<InjectionTarget>,
+}
+
+impl PlannedApp {
+    /// The finished [`AppSweep`], given one record per target in run
+    /// order.
+    pub(crate) fn assemble(&self, runs: Vec<RunRecord>) -> AppSweep {
+        debug_assert_eq!(runs.len(), self.targets.len());
+        AppSweep {
+            app: self.app.clone(),
+            acquire_instances: self.acquires,
+            release_instances: self.releases,
+            dry_run_error: self.dry_run_error.clone(),
+            runs,
+        }
+    }
+}
+
+/// Plans every application's campaign on `pool`, one job per app
+/// (`workloads[i]` is `apps[i]`'s kernel). A dry run that fails or
+/// panics becomes the app's `dry_run_error`. `on_batch` sees the pool's
+/// progress after every job.
+pub(crate) fn plan_apps(
+    pool: &Pool,
+    apps: &[AppKind],
+    workloads: &[Workload],
+    opts: &SweepOptions,
+    on_batch: impl Fn(&BatchProgress) + Sync,
+) -> Vec<PlannedApp> {
+    // Each job owns a copy of the options. With the options borrowed
+    // instead, the sweep-splash4 benchmark's peak RSS measured about
+    // 5 MB (20%) higher on a 2-CPU host, run after run.
+    let opts = *opts;
+    let jobs: Vec<_> = apps
+        .iter()
+        .zip(workloads)
+        .map(|(&app, workload)| move || plan_campaign(workload, app, &opts))
+        .collect();
+    let planned = pool.run_ordered_with(jobs, on_batch);
+    workloads
+        .iter()
+        .zip(planned)
+        .map(|(workload, outcome)| {
+            let app = workload.name().to_string();
+            match outcome.unwrap_or_else(|p| Err(format!("campaign planning panicked: {p}"))) {
+                Ok(c) => PlannedApp {
+                    app,
+                    acquires: c.counts.acquires,
+                    releases: c.counts.releases,
+                    dry_run_error: None,
+                    targets: c.targets,
+                },
+                Err(e) => PlannedApp {
+                    app,
+                    acquires: 0,
+                    releases: 0,
+                    dry_run_error: Some(e),
+                    targets: Vec::new(),
+                },
+            }
+        })
+        .collect()
+}
+
+/// One cell of the injection matrix: (app index, run index, removed
+/// instance).
+pub(crate) type Cell = (usize, usize, InjectionTarget);
+
+/// The cells of `apps`, app by app and each app's runs in order: the
+/// global cell order every driver and every shard agrees on.
+pub(crate) fn cells_of(apps: &[PlannedApp]) -> Vec<Cell> {
+    apps.iter()
+        .enumerate()
+        .flat_map(|(ai, app)| {
+            app.targets
+                .iter()
+                .enumerate()
+                .map(move |(ri, &target)| (ai, ri, target))
+        })
+        .collect()
+}
+
+/// What every cell of one sweep shares.
+pub(crate) struct SweepInputs<'a> {
+    /// Each planned app's kernel, indexed like the plan.
+    pub workloads: &'a [Workload],
+    /// The detector configurations every cell runs.
+    pub configs: &'a [DetectorConfig],
+    /// The sweep options.
+    pub opts: &'a SweepOptions,
+}
+
+/// Where a cell's traces and metrics go.
+#[derive(Clone, Copy)]
+pub(crate) enum CellObs<'a> {
+    /// Nowhere: the zero-overhead disabled path.
+    Off,
+    /// Into one sweep-wide sink, which also profiles every job and the
+    /// pool's batch.
+    Shared(&'a ObsSink),
+    /// Into a fresh sink per cell, handed to the completion hook, so
+    /// each cell's counters stay apart from every other cell's.
+    PerCell,
+}
+
+/// Runs `cells` through `run_injection` on `pool`, one job per cell.
+/// `on_cell(k, record, sink)` receives cell `k`'s record, and the sink
+/// its run reported into, on the worker that ran it; `on_batch` sees
+/// the pool's progress after every job. A job the pool lost
+/// (unreachable in practice: `run_injection` catches run panics itself)
+/// still yields a [`RunStatus::Panicked`] record, handed to `on_cell`
+/// after the batch, so the matrix stays rectangular.
+pub(crate) fn run_cells(
+    pool: &Pool,
+    inputs: &SweepInputs<'_>,
+    cells: &[Cell],
+    obs: CellObs<'_>,
+    on_batch: impl Fn(&BatchProgress) + Sync,
+    on_cell: impl Fn(usize, RunRecord, Option<&ObsSink>) + Sync,
+) {
+    let SweepInputs {
+        workloads,
+        configs,
+        opts,
+    } = *inputs;
+    let on_cell = &on_cell;
+    // Queue wait is measured from here; the batch submits right after
+    // job construction, so the skew is microseconds.
+    let batch_start = Instant::now();
+    let jobs: Vec<_> = cells
+        .iter()
+        .enumerate()
+        .map(|(k, &(ai, ri, target))| {
+            move || {
+                let job_start = Instant::now();
+                let fresh = matches!(obs, CellObs::PerCell).then(|| ObsSink::new(None, 1));
+                let sink = match obs {
+                    CellObs::Off => None,
+                    CellObs::Shared(sink) => Some(sink),
+                    CellObs::PerCell => fresh.as_ref(),
+                };
+                let ctx = sink.map(|sink| RunObsCtx {
+                    sink,
+                    app: workloads[ai].name(),
+                    run_index: ri,
+                });
+                let record = run_injection(
+                    target,
+                    configs,
+                    &workloads[ai],
+                    run_seed(opts, ri),
+                    opts,
+                    ctx,
+                );
+                on_cell(k, record, sink);
+                if let CellObs::Shared(sink) = obs {
+                    sink.record_job(job_start.elapsed(), job_start.duration_since(batch_start));
+                }
+            }
+        })
+        .collect();
+    let outcomes = pool.run_ordered_with(jobs, |bp| {
+        if let CellObs::Shared(sink) = obs {
+            sink.record_batch(bp);
+        }
+        on_batch(bp);
+    });
+    for (k, (&(_, _, target), outcome)) in cells.iter().zip(outcomes).enumerate() {
+        if let Err(p) = outcome {
+            let status = RunStatus::Panicked { msg: p.message };
+            on_cell(k, RunRecord::not_completed(target, status), None);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSON codecs (checkpoint files and --json dumps).
 
@@ -582,12 +809,9 @@ impl ToJson for ScaleClassOpt {
 
 impl FromJson for ScaleClassOpt {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "tiny" => Ok(ScaleClassOpt::Tiny),
-            "small" => Ok(ScaleClassOpt::Small),
-            "paper" => Ok(ScaleClassOpt::Paper),
-            other => Err(JsonError::new(format!("unknown scale class {other:?}"))),
-        }
+        let s = v.as_str()?;
+        ScaleClassOpt::from_name(s)
+            .ok_or_else(|| JsonError::new(format!("unknown scale class {s:?}")))
     }
 }
 
@@ -693,14 +917,14 @@ impl FromJson for RunStatus {
     }
 }
 
-pub(crate) fn target_to_json(t: &InjectionTarget) -> Json {
+fn target_to_json(t: &InjectionTarget) -> Json {
     obj(vec![
         ("kind", Json::Str(t.kind().to_string())),
         ("instance", t.instance().to_json()),
     ])
 }
 
-pub(crate) fn target_from_json(v: &Json) -> Result<InjectionTarget, JsonError> {
+fn target_from_json(v: &Json) -> Result<InjectionTarget, JsonError> {
     let n = u64::from_json(v.field("instance")?)?;
     match v.field("kind")?.as_str()? {
         "acquire" => Ok(InjectionTarget::Acquire(n)),
@@ -743,6 +967,38 @@ impl FromJson for RunRecord {
             detail: Option::<String>::from_json(v.field("detail")?)?,
             ideal,
             detections,
+        })
+    }
+}
+
+impl ToJson for PlannedApp {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("app", self.app.to_json()),
+            ("acquires", self.acquires.to_json()),
+            ("releases", self.releases.to_json()),
+            ("dry_run_error", self.dry_run_error.to_json()),
+            (
+                "targets",
+                Json::Array(self.targets.iter().map(target_to_json).collect()),
+            ),
+        ])
+    }
+}
+
+impl FromJson for PlannedApp {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(PlannedApp {
+            app: String::from_json(v.field("app")?)?,
+            acquires: u64::from_json(v.field("acquires")?)?,
+            releases: u64::from_json(v.field("releases")?)?,
+            dry_run_error: Option::<String>::from_json(v.field("dry_run_error")?)?,
+            targets: v
+                .field("targets")?
+                .as_array()?
+                .iter()
+                .map(target_from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 }

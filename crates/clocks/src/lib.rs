@@ -8,9 +8,6 @@
 //!   uses (§2.4 of the paper), together with the *D-window* comparison
 //!   rules of §2.6 that distinguish order-recording ordering from
 //!   data-race-detection synchronization.
-//! * [`lamport`] — classical Lamport clocks (sequence number + tie-breaking
-//!   thread ID), presented by the paper as the starting point that CORD
-//!   then simplifies.
 //! * [`vector`] — vector clocks, used by the paper's *Ideal* oracle and by
 //!   the vector-clock comparison configurations (InfCache / L2Cache /
 //!   L1Cache, §4.3).
@@ -39,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-pub mod lamport;
 pub mod policy;
 pub mod scalar;
 pub mod vector;
 pub mod window16;
 
-pub use lamport::LamportClock;
 pub use policy::ClockPolicy;
 pub use scalar::ScalarTime;
 pub use vector::VectorClock;

@@ -7,7 +7,7 @@ use crate::error::CordError;
 use crate::record::LogEntry;
 use crate::replay::{replay_and_verify, ReplayReport};
 use cord_sim::config::MachineConfig;
-use cord_sim::engine::{InjectionPlan, Machine, RunOutput, SimError};
+use cord_sim::engine::{InjectionPlan, Machine, RunOutput};
 use cord_sim::observer::NullObserver;
 use cord_trace::program::Workload;
 
@@ -183,10 +183,6 @@ impl ExperimentHarness {
         Ok(cord.sim.stats.cycles as f64 / base.stats.cycles as f64)
     }
 }
-
-/// Re-exported so harness users can match on deadlocks without importing
-/// `cord-sim` directly.
-pub type HarnessSimError = SimError;
 
 // Compile-time Send/Sync audit: the parallel sweep executor builds
 // harnesses, detectors, and outcomes on one thread and runs or collects

@@ -120,6 +120,14 @@ diff "$smoke_dir/shard-sweep1/merged/results.json" "$smoke_dir/shard-sweep4/merg
 diff "$smoke_dir/shard-sweep1/merged/report.txt" "$smoke_dir/shard-sweep4/merged/report.txt"
 diff "$smoke_dir/shard-sweep1/merged/metrics.json" "$smoke_dir/shard-sweep4/merged/metrics.json"
 
+echo "== shard smoke: chaos-killed 4-shard sweep must match --shards 1 byte-for-byte =="
+./target/release/shard sweep --dir "$smoke_dir/shard-sweep-chaos" --shards 4 \
+    --apps fft,radix --injections 2 --scale tiny --seed 13 \
+    --chaos kill-rate=0.3,budget=6,seed=2006 --poll-ms 5 2> /dev/null
+diff "$smoke_dir/shard-sweep1/merged/results.json" "$smoke_dir/shard-sweep-chaos/merged/results.json"
+diff "$smoke_dir/shard-sweep1/merged/report.txt" "$smoke_dir/shard-sweep-chaos/merged/report.txt"
+diff "$smoke_dir/shard-sweep1/merged/metrics.json" "$smoke_dir/shard-sweep-chaos/merged/metrics.json"
+
 echo "== serve smoke: daemon replay must match inline detection byte-for-byte =="
 ./target/release/serve smoke > "$smoke_dir/serve-smoke.txt" 2> /dev/null
 grep -q ", 0 mismatches" "$smoke_dir/serve-smoke.txt"
