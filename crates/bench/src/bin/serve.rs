@@ -40,19 +40,30 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Parses one subcommand's flags, each `--name VALUE`, in one loop and
+/// returns the values of `names` in order. An unknown argument, or a
+/// flag whose value is missing or is itself a flag, exits 2.
+fn flags<const N: usize>(args: &[String], names: [&str; N]) -> [Option<String>; N] {
+    let mut values = std::array::from_fn(|_| None);
+    let mut it = args.iter().cloned();
+    while let Some(a) = it.next() {
+        let Some(i) = names.iter().position(|n| *n == a) else {
+            fail(format!("unknown argument {a:?}"))
+        };
+        let value = it.next().filter(|v| !v.starts_with("--"));
+        values[i] = Some(value.unwrap_or_else(|| fail(format!("{a} needs a value"))));
+    }
+    values
 }
 
-/// The parsed value of flag `name`, or `default` when it is absent.
-fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    flag_value(args, name).map_or(Ok(default), |v| parse_flag(name, Some(v)))
+/// The parsed `value` of flag `name`, or `default` when it is absent.
+fn num<T: std::str::FromStr>(name: &str, value: Option<String>, default: T) -> Result<T, String> {
+    value.map_or(Ok(default), |v| parse_flag(name, Some(v)))
 }
 
-fn socket_arg(args: &[String]) -> PathBuf {
-    PathBuf::from(flag_value(args, "--socket").unwrap_or_else(|| fail("--socket PATH is required")))
+/// The value of a required flag (`usage` names it), or exit 2.
+fn required(value: Option<String>, usage: &str) -> String {
+    value.unwrap_or_else(|| fail(format!("{usage} is required")))
 }
 
 fn workload_for(app_name: &str, threads: usize, seed: u64) -> Workload {
@@ -94,24 +105,26 @@ fn encode_run(
 }
 
 fn cmd_daemon(args: &[String]) -> Result<(), Box<dyn Error>> {
+    let [socket, snapshot, every] = flags(args, ["--socket", "--snapshot", "--snapshot-every"]);
     let mut cfg = DaemonConfig {
-        socket: socket_arg(args),
-        snapshot: flag_value(args, "--snapshot").map(PathBuf::from),
+        socket: required(socket, "--socket PATH").into(),
+        snapshot: snapshot.map(PathBuf::from),
         ..DaemonConfig::default()
     };
-    cfg.snapshot_every = flag_num(args, "--snapshot-every", cfg.snapshot_every)?;
-    cfg.queue_depth = flag_num(args, "--queue-depth", cfg.queue_depth)?;
+    cfg.snapshot_every = num("--snapshot-every", every, cfg.snapshot_every)?;
     eprintln!("serve: listening on {}", cfg.socket.display());
     Daemon::new(cfg).run()?;
     Ok(())
 }
 
 fn cmd_capture(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let app = flag_value(args, "--app").unwrap_or_else(|| "fft".to_owned());
-    let label = flag_value(args, "--config").unwrap_or_else(|| "CORD-D16".to_owned());
-    let seed = flag_num(args, "--seed", 42)?;
-    let threads = flag_num(args, "--threads", 4)?;
-    let out = flag_value(args, "--out").unwrap_or_else(|| fail("--out FILE is required"));
+    let [app, label, seed, threads, out] =
+        flags(args, ["--app", "--config", "--seed", "--threads", "--out"]);
+    let app = app.unwrap_or_else(|| "fft".to_owned());
+    let label = label.unwrap_or_else(|| "CORD-D16".to_owned());
+    let seed = num("--seed", seed, 42)?;
+    let threads = num("--threads", threads, 4)?;
+    let out = required(out, "--out FILE");
     let config = DetectorConfig::from_label(&label)
         .unwrap_or_else(|| fail(format!("unknown detector label `{label}`")));
 
@@ -130,8 +143,9 @@ fn cmd_capture(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let client = ServeClient::new(socket_arg(args));
-    let path = flag_value(args, "--capture").unwrap_or_else(|| fail("--capture FILE is required"));
+    let [socket, capture] = flags(args, ["--socket", "--capture"]);
+    let client = ServeClient::new(required(socket, "--socket PATH"));
+    let path = required(capture, "--capture FILE");
     let capture = std::fs::read(&path)?;
     let report = client.replay_capture(&capture)?;
     std::io::stdout().write_all(&report)?;
@@ -140,7 +154,8 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_query(args: &[String], q: Query) -> Result<(), Box<dyn Error>> {
-    let client = ServeClient::new(socket_arg(args));
+    let [socket] = flags(args, ["--socket"]);
+    let client = ServeClient::new(required(socket, "--socket PATH"));
     println!("{}", client.query(q)?);
     Ok(())
 }
@@ -148,7 +163,8 @@ fn cmd_query(args: &[String], q: Query) -> Result<(), Box<dyn Error>> {
 /// The CI gate: a daemon child process must reproduce inline detection
 /// byte-for-byte across a small (app × config × seed) matrix.
 fn cmd_smoke(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let apps: Vec<String> = flag_value(args, "--apps")
+    let [apps] = flags(args, ["--apps"]);
+    let apps: Vec<String> = apps
         .unwrap_or_else(|| "fft,lu".to_owned())
         .split(',')
         .map(str::to_owned)

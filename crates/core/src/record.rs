@@ -118,12 +118,6 @@ impl OrderRecorder {
         rec.clock = new_clock;
     }
 
-    /// The clock value `thread` currently runs with, as the recorder
-    /// knows it.
-    pub fn current_clock(&self, thread: ThreadId) -> ScalarTime {
-        self.threads[thread.index()].clock
-    }
-
     /// Closes every thread's final segment; `final_instrs[t]` is thread
     /// `t`'s total retired instruction count.
     ///
@@ -216,7 +210,6 @@ mod tests {
         r.record_change(t(0), ts(5), 10);
         r.record_change(t(0), ts(6), 10);
         assert_eq!(r.entries()[1].instructions, 0);
-        assert_eq!(r.current_clock(t(0)), ts(6));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::events::{
 };
 use crate::TraceEvent;
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
-use cord_trace::layout::{AddressLayout, DenseLineMap};
+use cord_trace::layout::AddressLayout;
 use cord_trace::types::{Addr, LineAddr, ThreadId, WORD_BYTES};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -139,12 +139,6 @@ impl StreamGeometry {
             self.data_words,
         )
         .with_atomics(self.user_atomics)
-    }
-
-    /// Dense-index capacity bounds for shadow state (see
-    /// [`DenseLineMap`]).
-    pub fn dense_map(&self) -> DenseLineMap {
-        DenseLineMap::new(&self.layout())
     }
 }
 
@@ -938,7 +932,6 @@ mod tests {
         let layout = h.geometry.layout();
         assert_eq!(layout.user_locks(), 2);
         assert_eq!(layout.data_words(), 4096);
-        assert!(h.geometry.dense_map().line_capacity() > 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use cord_obs::wire::{read_frame, write_frame};
 use cord_obs::{wire, StreamEvent, StreamHeader};
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Talks to a [`Daemon`](crate::Daemon) over its Unix socket.
 #[derive(Debug, Clone)]
@@ -19,11 +19,6 @@ impl ServeClient {
         ServeClient {
             socket: socket.into(),
         }
-    }
-
-    /// The daemon socket path.
-    pub fn socket(&self) -> &Path {
-        &self.socket
     }
 
     fn connect(&self) -> Result<UnixStream, ServeError> {

@@ -17,17 +17,21 @@
 //! cord-fuzz oracle and the CI smoke hold the two byte streams against
 //! each other.
 //!
-//! Architecture (one session = one ingesting connection):
+//! Architecture (one session = one ingesting connection = one thread):
 //!
-//! * a **reader** thread decodes length-prefixed frames off the socket,
-//!   rejects events whose thread or core lies outside the header's
-//!   geometry, and hands event batches to the session worker over a
-//!   *bounded* queue — when the detector falls behind, the queue fills,
-//!   the reader blocks, the socket buffer fills, and the producer
-//!   stalls: end-to-end backpressure with no unbounded buffering;
-//! * a **worker** thread owns the detector and ingests batches in
-//!   order. Detection is sequential: CORD's thread clocks are global
-//!   state, which is the paper's whole point;
+//! * the accept loop gives each connection a thread of its own and keeps
+//!   no handle to it, so a finished session's thread is released at
+//!   once; shutdown still waits for every session to end;
+//! * the session thread **owns the detector**: it reads a
+//!   length-prefixed frame, rejects events whose thread or core lies
+//!   outside the header's geometry, applies the batch in order, and
+//!   answers `drain` itself. Detection is sequential: CORD's thread
+//!   clocks are global state, which is the paper's whole point, so a
+//!   second thread per stream would gain nothing;
+//! * **backpressure** comes from the socket: the thread reads the next
+//!   frame only after applying the last, so when the detector falls
+//!   behind the socket buffer fills and the producer's writes block,
+//!   with nothing buffered beyond the frame in hand;
 //! * periodic **snapshots** land as durable `cord-json` documents
 //!   (sealed, crash-atomic, previous-generation rotation); abnormal
 //!   recoveries at startup surface as structured

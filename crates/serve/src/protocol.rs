@@ -30,8 +30,9 @@ pub const FRAME_RESPONSE: u8 = b'R';
 /// interleaved after event frames on an ingest session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// Daemon-wide status: sessions, events, races, snapshots, shard
-    /// accounting, and any snapshot-recovery events.
+    /// Daemon-wide status: sessions, events, races, snapshots, the last
+    /// session's workload and detector, and any snapshot-recovery
+    /// events.
     Status,
     /// All races drained from completed sessions.
     Races,

@@ -1,7 +1,7 @@
 //! The daemon: accept loop, ingest sessions, queries, and snapshots.
 
 use crate::protocol::{encode_response, encode_response_bytes, Query, ServeError, FRAME_QUERY};
-use cord_core::{apply_stream_event, Detector, ObsCtx, SinkReport};
+use cord_core::{apply_stream_event, Detector, ObsCtx};
 use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, Json, ToJson};
@@ -12,14 +12,13 @@ use cord_obs::{AccessPath, CoreId, Histogram, MetricsRegistry, StreamEvent, Stre
 use cord_pool::lock_unpoisoned;
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
-/// How a daemon runs: where it listens, how it snapshots, and how much
-/// in-flight work it tolerates.
+/// How a daemon runs: where it listens and how it snapshots.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Unix-domain socket path. A stale file at this path is removed at
@@ -30,10 +29,6 @@ pub struct DaemonConfig {
     /// Events between periodic snapshots (a final snapshot is always
     /// written when a session drains); `0` keeps only final snapshots.
     pub snapshot_every: u64,
-    /// Bounded depth of each session's frame queue — the backpressure
-    /// knob. When the detector lags this many undigested batches, the
-    /// reader stops pulling from the socket and the producer stalls.
-    pub queue_depth: usize,
 }
 
 impl Default for DaemonConfig {
@@ -42,7 +37,6 @@ impl Default for DaemonConfig {
             socket: PathBuf::from("cord-serve.sock"),
             snapshot: None,
             snapshot_every: 100_000,
-            queue_depth: 64,
         }
     }
 }
@@ -77,7 +71,7 @@ struct Shared {
 
 /// A streaming race-detection daemon on a Unix-domain socket.
 pub struct Daemon {
-    shared: Arc<Shared>,
+    shared: Shared,
 }
 
 impl Daemon {
@@ -91,64 +85,48 @@ impl Daemon {
             state.recovery = load.warnings;
         }
         Daemon {
-            shared: Arc::new(Shared {
+            shared: Shared {
                 cfg,
                 state: Mutex::new(state),
                 shutdown: AtomicBool::new(false),
-            }),
+            },
         }
     }
 
     /// Binds the socket and serves until a `shutdown` query arrives.
-    /// Each connection gets its own session thread; ingest sessions get
-    /// a reader/worker pair with a bounded queue between them.
+    /// Each connection is one thread, which is the whole session. The
+    /// loop keeps no handle to it: a finished session's thread is
+    /// released at once, and the scope still waits for every session
+    /// before `run` returns.
     pub fn run(&self) -> Result<(), ServeError> {
-        let socket = self.shared.cfg.socket.clone();
-        let _ = std::fs::remove_file(&socket);
-        let listener = UnixListener::bind(&socket)?;
-        let mut sessions = Vec::new();
-        for conn in listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
+        let shared = &self.shared;
+        let socket = &shared.cfg.socket;
+        let _ = std::fs::remove_file(socket);
+        let listener = UnixListener::bind(socket)?;
+        thread::scope(|scope| {
+            for conn in listener.incoming() {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                // A failed or panicking session must not take the daemon
+                // down; the error is the client's problem (their
+                // connection drops).
+                scope.spawn(move || {
+                    let _ =
+                        panic::catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared)));
+                });
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
             }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let shared = Arc::clone(&self.shared);
-            sessions.push(thread::spawn(move || {
-                // A failed session must not take the daemon down; the
-                // error is the client's problem (their connection drops).
-                let _ = handle_connection(stream, &shared);
-            }));
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        for s in sessions {
-            let _ = s.join();
-        }
-        let _ = std::fs::remove_file(&socket);
+        });
+        let _ = std::fs::remove_file(socket);
         Ok(())
     }
-
-    /// The daemon's socket path.
-    pub fn socket(&self) -> &PathBuf {
-        &self.shared.cfg.socket
-    }
 }
 
-/// Work items flowing from a session's reader to its worker over the
-/// bounded queue.
-enum Work {
-    /// A decoded batch of events to ingest, in arrival order.
-    Events(Vec<StreamEvent>),
-    /// Flush + drain; the canonical report bytes go back on the reply
-    /// channel.
-    Drain(SyncSender<Vec<u8>>),
-}
-
-fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), ServeError> {
+fn handle_connection(stream: UnixStream, shared: &Shared) -> Result<(), ServeError> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let first = match read_frame(&mut reader)? {
         Some(f) => f,
@@ -169,11 +147,25 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), Ser
     }
 }
 
+/// One ingest session's detector and progress. The connection's thread
+/// owns it: it decodes a frame, applies it, and only then reads the
+/// next, so a detector that falls behind stops the reads, the socket
+/// buffer fills, and the producer's writes block.
+struct Session {
+    header: StreamHeader,
+    det: DetectorEnum,
+    /// Per-access ingest latency since the last drain.
+    ingest_latency: Histogram,
+    events: u64,
+    since_snapshot: u64,
+    drained: bool,
+}
+
 fn run_session(
     header: StreamHeader,
     mut reader: BufReader<UnixStream>,
     stream: UnixStream,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) -> Result<(), ServeError> {
     let config = DetectorConfig::from_label(&header.detector).ok_or_else(|| {
         ServeError::Protocol(format!("unknown detector label `{}`", header.detector))
@@ -184,14 +176,20 @@ fn run_session(
         st.last_workload = header.workload.clone();
         st.last_detector = header.detector.clone();
     }
-
-    let (tx, rx) = sync_channel::<Work>(shared.cfg.queue_depth.max(1));
-    let worker_shared = Arc::clone(shared);
-    let worker_header = header.clone();
-    let worker = thread::Builder::new()
-        .name("cord-serve-worker".into())
-        .spawn(move || session_worker(&worker_header, config, &rx, &worker_shared))
-        .map_err(ServeError::Io)?;
+    let geometry = header.geometry;
+    let mut session = Session {
+        det: config.build_sink(
+            geometry.threads as usize,
+            geometry.cores as usize,
+            header.seed,
+            ObsCtx::disabled(),
+        ),
+        header,
+        ingest_latency: Histogram::new(),
+        events: 0,
+        since_snapshot: 0,
+        drained: false,
+    };
 
     let mut writer = BufWriter::new(stream);
     let result = (|| -> Result<(), ServeError> {
@@ -199,21 +197,17 @@ fn run_session(
             match payload.split_first() {
                 Some((&FRAME_EVENTS, body)) => {
                     let events = decode_events(body)?;
-                    if let Some(bad) = events.iter().find(|ev| !in_geometry(ev, &header.geometry)) {
+                    if let Some(bad) = events.iter().find(|ev| !in_geometry(ev, &geometry)) {
                         return Err(ServeError::Protocol(format!(
                             "event outside the header's {} threads and {} cores: {bad:?}",
-                            header.geometry.threads, header.geometry.cores
+                            geometry.threads, geometry.cores
                         )));
                     }
-                    // A full queue blocks here — backpressure all the
-                    // way to the producer's socket writes.
-                    if tx.send(Work::Events(events)).is_err() {
-                        return Err(ServeError::Protocol("session worker died".into()));
-                    }
+                    session.ingest(&events, shared);
                 }
                 Some((&FRAME_QUERY, _)) => {
                     let q = Query::decode(&payload)?;
-                    answer_query(q, shared, Some(&tx), &mut writer)?;
+                    answer_query(q, shared, Some(&mut session), &mut writer)?;
                 }
                 Some((&tag, _)) => return Err(ServeError::BadFrame { tag }),
                 None => return Err(ServeError::Protocol("empty frame".into())),
@@ -221,14 +215,18 @@ fn run_session(
         }
         Ok(())
     })();
-    drop(tx);
-    let _ = worker.join();
+    if !session.drained {
+        // Client vanished without draining: bank the session's findings
+        // anyway so daemon-wide queries still see them.
+        session.drain(shared);
+    }
+    lock_unpoisoned(&shared.state).sessions_completed += 1;
     result
 }
 
 /// Whether every thread and core `ev` names lies inside `geometry`.
 /// Detectors index per-thread and per-core state unchecked, so the
-/// reader rejects anything else before it reaches one.
+/// session rejects anything else before it reaches one.
 fn in_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> bool {
     let thread = |t: u16| u32::from(t) < geometry.threads;
     let core = |c: CoreId| u32::from(c.0) < geometry.cores;
@@ -252,112 +250,74 @@ fn in_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> bool {
     }
 }
 
-/// The session worker: owns the detector, ingests in order, and
-/// snapshots periodically. Returns when the queue closes (client gone)
-/// or after serving a drain.
-fn session_worker(
-    header: &StreamHeader,
-    config: DetectorConfig,
-    rx: &Receiver<Work>,
-    shared: &Arc<Shared>,
-) {
-    let geometry = &header.geometry;
-    let mut det = config.build_sink(
-        geometry.threads as usize,
-        geometry.cores as usize,
-        header.seed,
-        ObsCtx::disabled(),
-    );
-    let mut ingest_latency = Histogram::new();
-    let mut events: u64 = 0;
-    let mut since_snapshot: u64 = 0;
-    let mut drained = false;
-
-    for work in rx {
-        match work {
-            Work::Events(batch) => {
-                for ev in &batch {
-                    if matches!(ev, StreamEvent::Access(_)) {
-                        let start = std::time::Instant::now();
-                        apply_stream_event(&mut det, ev);
-                        ingest_latency.record_ns(start.elapsed().as_nanos() as u64);
-                    } else {
-                        apply_stream_event(&mut det, ev);
-                    }
-                }
-                let n = batch.len() as u64;
-                events += n;
-                since_snapshot += n;
-                {
-                    let mut st = lock_unpoisoned(&shared.state);
-                    st.events_ingested += n;
-                }
-                let every = shared.cfg.snapshot_every;
-                if every > 0 && since_snapshot >= every {
-                    since_snapshot = 0;
-                    write_snapshot(header, &mut det, events, shared);
-                }
-            }
-            Work::Drain(reply) => {
-                let report = det.drain();
-                let bytes = report.to_bytes();
-                record_report(&report, &ingest_latency, shared);
-                ingest_latency = Histogram::new();
-                drained = true;
-                write_snapshot(header, &mut det, events, shared);
-                let _ = reply.send(bytes);
+impl Session {
+    /// Feeds one decoded batch to the detector in order, then writes a
+    /// periodic snapshot when one is due.
+    fn ingest(&mut self, batch: &[StreamEvent], shared: &Shared) {
+        for ev in batch {
+            if matches!(ev, StreamEvent::Access(_)) {
+                let start = std::time::Instant::now();
+                apply_stream_event(&mut self.det, ev);
+                self.ingest_latency
+                    .record_ns(start.elapsed().as_nanos() as u64);
+            } else {
+                apply_stream_event(&mut self.det, ev);
             }
         }
+        let n = batch.len() as u64;
+        self.events += n;
+        self.since_snapshot += n;
+        lock_unpoisoned(&shared.state).events_ingested += n;
+        let every = shared.cfg.snapshot_every;
+        if every > 0 && self.since_snapshot >= every {
+            self.since_snapshot = 0;
+            self.write_snapshot(shared);
+        }
     }
-    if !drained {
-        // Client vanished without draining: bank the session's findings
-        // anyway so daemon-wide queries still see them.
-        let report = det.drain();
-        record_report(&report, &ingest_latency, shared);
-        write_snapshot(header, &mut det, events, shared);
+
+    /// Drains the detector, banks its report in the daemon-wide state,
+    /// writes the final snapshot, and returns the report's canonical
+    /// bytes.
+    fn drain(&mut self, shared: &Shared) -> Vec<u8> {
+        let report = self.det.drain();
+        {
+            let mut st = lock_unpoisoned(&shared.state);
+            st.races_reported += report.race_count;
+            st.races.extend(report.races.iter().cloned());
+            st.metrics.merge(&report.metrics);
+            st.ingest_latency.merge(&self.ingest_latency);
+        }
+        self.ingest_latency = Histogram::new();
+        self.drained = true;
+        self.write_snapshot(shared);
+        report.to_bytes()
     }
-    let mut st = lock_unpoisoned(&shared.state);
-    st.sessions_completed += 1;
+
+    /// Writes the durable snapshot document: session progress and the
+    /// current race report.
+    fn write_snapshot(&mut self, shared: &Shared) {
+        let Some(path) = &shared.cfg.snapshot else {
+            return;
+        };
+        let doc = obj(vec![
+            ("workload", Json::Str(self.header.workload.clone())),
+            ("detector", Json::Str(self.header.detector.clone())),
+            ("seed", Json::UInt(self.header.seed)),
+            ("events", Json::UInt(self.events)),
+            ("report", self.det.drain().to_json()),
+        ]);
+        if durable::write_checkpoint(path, &doc).is_ok() {
+            lock_unpoisoned(&shared.state).snapshots_written += 1;
+        }
+    }
 }
 
-fn record_report(report: &SinkReport, ingest_latency: &Histogram, shared: &Arc<Shared>) {
-    let mut st = lock_unpoisoned(&shared.state);
-    st.races_reported += report.race_count;
-    st.races.extend(report.races.iter().cloned());
-    st.metrics.merge(&report.metrics);
-    st.ingest_latency.merge(ingest_latency);
-}
-
-/// Writes the durable snapshot document: session progress and the
-/// current race report.
-fn write_snapshot(
-    header: &StreamHeader,
-    det: &mut DetectorEnum,
-    events: u64,
-    shared: &Arc<Shared>,
-) {
-    let Some(path) = shared.cfg.snapshot.clone() else {
-        return;
-    };
-    let doc = obj(vec![
-        ("workload", Json::Str(header.workload.clone())),
-        ("detector", Json::Str(header.detector.clone())),
-        ("seed", Json::UInt(header.seed)),
-        ("events", Json::UInt(events)),
-        ("report", det.drain().to_json()),
-    ]);
-    if durable::write_checkpoint(&path, &doc).is_ok() {
-        let mut st = lock_unpoisoned(&shared.state);
-        st.snapshots_written += 1;
-    }
-}
-
-/// Answers one query. `worker` is the current ingest session's queue
+/// Answers one query. `session` is the connection's ingest session
 /// (drain needs it); daemon-wide queries work on any connection.
 fn answer_query(
     q: Query,
-    shared: &Arc<Shared>,
-    worker: Option<&SyncSender<Work>>,
+    shared: &Shared,
+    session: Option<&mut Session>,
     writer: &mut BufWriter<UnixStream>,
 ) -> Result<(), ServeError> {
     let payload = match q {
@@ -377,16 +337,9 @@ fn answer_query(
             encode_response(&doc)
         }
         Query::Drain => {
-            let worker = worker
+            let session = session
                 .ok_or_else(|| ServeError::Protocol("drain outside an ingest session".into()))?;
-            let (rtx, rrx) = sync_channel(1);
-            worker
-                .send(Work::Drain(rtx))
-                .map_err(|_| ServeError::Protocol("session worker died".into()))?;
-            let bytes = rrx
-                .recv()
-                .map_err(|_| ServeError::Protocol("session worker died".into()))?;
-            encode_response_bytes(&bytes)
+            encode_response_bytes(&session.drain(shared))
         }
         Query::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -400,7 +353,7 @@ fn answer_query(
     Ok(())
 }
 
-fn status_doc(shared: &Arc<Shared>) -> Json {
+fn status_doc(shared: &Shared) -> Json {
     let st = lock_unpoisoned(&shared.state);
     obj(vec![
         ("sessions_started", Json::UInt(st.sessions_started)),
@@ -410,10 +363,6 @@ fn status_doc(shared: &Arc<Shared>) -> Json {
         ("snapshots", Json::UInt(st.snapshots_written)),
         ("workload", Json::Str(st.last_workload.clone())),
         ("detector", Json::Str(st.last_detector.clone())),
-        (
-            "queue_depth",
-            Json::UInt(shared.cfg.queue_depth.max(1) as u64),
-        ),
         (
             "recovery",
             Json::Array(st.recovery.iter().map(|e| e.to_json()).collect()),

@@ -106,7 +106,6 @@ fn daemon_replay_matches_inline_bytes() {
         socket: socket.clone(),
         snapshot: Some(snapshot.clone()),
         snapshot_every: 2,
-        queue_depth: 2,
     });
     let handle = std::thread::spawn(move || daemon.run());
     let client = ServeClient::new(&socket);
@@ -296,6 +295,76 @@ fn events_outside_the_header_geometry_are_rejected() {
     assert_eq!(
         via_daemon,
         inline_bytes(DetectorConfig::Cord { d: 16 }, &racy)
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bit_flipped_event_frame_ends_the_session_and_the_daemon_keeps_serving() {
+    let (dir, client, handle) = start_daemon("bitflip");
+    let mut payload = vec![wire::FRAME_EVENTS];
+    payload.extend_from_slice(&wire::encode_events(&racy_events()));
+    // The first single-bit flip of the event body that the decoder
+    // rejects; the daemon must reject the frame the same way.
+    let flipped = (8..payload.len() * 8)
+        .map(|bit| {
+            let mut p = payload.clone();
+            p[bit / 8] ^= 1 << (bit % 8);
+            p
+        })
+        .find(|p| wire::decode_events(&p[1..]).is_err())
+        .expect("some bit flip breaks the event body");
+    let mut capture = wire::encode_frame(&header("CORD-D16").encode());
+    capture.extend_from_slice(&wire::encode_frame(&flipped));
+    assert!(
+        client.replay_capture(&capture).is_err(),
+        "a corrupt event frame must not produce a report"
+    );
+
+    let status = client
+        .query(Query::Status)
+        .expect("status after a corrupt frame");
+    for field in ["sessions_started", "sessions_completed"] {
+        let n: u64 = cord_json::FromJson::from_json(status.field(field).unwrap()).expect("uint");
+        assert_eq!(n, 1, "{field}: {status:?}");
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lines of this process's memory map: each live thread adds its stack
+/// and guard page.
+#[cfg(target_os = "linux")]
+fn mapping_count() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("read /proc/self/maps")
+        .lines()
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_sessions_release_their_threads() {
+    let (dir, client, handle) = start_daemon("release");
+    let status = || client.query(Query::Status).expect("status");
+    for _ in 0..20 {
+        status();
+    }
+    let warm = mapping_count();
+    for _ in 0..300 {
+        status();
+    }
+    let after = mapping_count();
+    // A kept thread costs two mappings, so 300 kept sessions would add
+    // 600; the slack covers the other tests' threads in this process.
+    assert!(
+        after <= warm + 40,
+        "memory map grew from {warm} to {after} lines over 300 finished sessions"
     );
 
     client.shutdown().expect("shutdown");
